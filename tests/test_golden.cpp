@@ -1,17 +1,23 @@
 /**
  * @file
- * Golden-file tests for the IR printer: two small example apps are
- * compiled by the frontend and their printed module text must match
- * the checked-in fixtures under tests/golden/. Any intentional change
- * to the frontend lowering or the printer format is re-blessed by
- * rerunning with STOS_UPDATE_GOLDEN=1 and reviewing the fixture diff.
+ * Golden-file tests for the IR printer and the report emitters. Two
+ * small example apps are compiled by the frontend and their printed
+ * module text must match the checked-in fixtures under tests/golden/;
+ * a small fixed build+sim matrix (one failed build cell, one faulted
+ * cell with a non-empty trap log) must emit the checked-in build, sim
+ * and joined CSV/JSON bytes, wall-time values aside. Any intentional
+ * change to the frontend lowering, the printer format or a report
+ * column is re-blessed by rerunning with STOS_UPDATE_GOLDEN=1 and
+ * reviewing the fixture diff.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
+#include "core/experiment.h"
 #include "frontend/frontend.h"
 #include "ir/printer.h"
 
@@ -120,10 +126,10 @@ readFile(const std::string &path)
     return ss.str();
 }
 
+/** Compare `printed` with tests/golden/<name>.golden (or bless it). */
 void
-checkGolden(const std::string &name, const char *src)
+checkGoldenText(const std::string &name, const std::string &printed)
 {
-    std::string printed = printApp(name, src);
     ASSERT_FALSE(printed.empty());
     std::string path = goldenPath(name);
 
@@ -163,6 +169,12 @@ checkGolden(const std::string &name, const char *src)
     }
 }
 
+void
+checkGolden(const std::string &name, const char *src)
+{
+    checkGoldenText(name, printApp(name, src));
+}
+
 TEST(GoldenPrinter, CounterApp)
 {
     checkGolden("counter", kCounterApp);
@@ -180,6 +192,139 @@ TEST(GoldenPrinter, PrintingIsDeterministic)
               printApp("counter", kCounterApp));
     EXPECT_EQ(printApp("sample_filter", kFilterApp),
               printApp("sample_filter", kFilterApp));
+}
+
+//---------------------------------------------------------------------
+// Report emitters
+//---------------------------------------------------------------------
+
+/** Wall-time columns: the only nondeterministic report values. */
+bool
+isTimingColumn(const std::string &name)
+{
+    return name == "millis" || name == "wall_millis" ||
+           name == "build_millis" || name == "sim_millis";
+}
+
+/**
+ * Replace every timing column's value of an RFC-4180 CSV with "T".
+ * Quoted fields may hold commas and newlines (config labels, error
+ * text), so records are split quote-aware.
+ */
+std::string
+normalizeCsvTimings(const std::string &csv)
+{
+    std::vector<std::vector<std::string>> rows(1);
+    std::string field;
+    bool quoted = false;
+    for (char c : csv) {
+        if (c == '"')
+            quoted = !quoted;
+        if (!quoted && c == ',') {
+            rows.back().push_back(field);
+            field.clear();
+        } else if (!quoted && c == '\n') {
+            rows.back().push_back(field);
+            field.clear();
+            rows.emplace_back();
+        } else {
+            field += c;
+        }
+    }
+    EXPECT_TRUE(field.empty() && rows.back().empty())
+        << "CSV must end with a newline";
+    rows.pop_back();
+    std::string out;
+    for (const auto &row : rows) {
+        EXPECT_EQ(row.size(), rows.front().size()) << "ragged CSV row";
+        for (size_t i = 0; i < row.size(); ++i) {
+            out += i ? "," : "";
+            out += isTimingColumn(rows.front()[i]) && &row != &rows[0]
+                       ? "T"
+                       : row[i];
+        }
+        out += '\n';
+    }
+    return out;
+}
+
+std::string
+normalizeJsonTimings(const std::string &json)
+{
+    static const std::regex kTiming(
+        "\"(millis|wall_millis|build_millis|sim_millis)\": [0-9.]+");
+    return std::regex_replace(json, kTiming, "\"$1\": T");
+}
+
+/**
+ * Three rows x two columns, simulated under an attack campaign:
+ * AttackFnptrDispatch traps on its corrupted function pointer under
+ * the CFI column (non-empty trap log, reboot), Ident simulates with a
+ * companion over a lossy radio, and Broken fails to build (a failed
+ * build cell and its failed sim cell). One job: under more, which
+ * cell of an app reaches its frontend entry first (and so reports
+ * frontend_reused=false) depends on scheduling.
+ */
+core::ExperimentReport
+goldenReport()
+{
+    core::Experiment exp;
+    exp.options().jobs = 1;
+    exp.options().seconds = 0.25;
+    exp.options().faults.ptrOverwrites = 1;
+    exp.options().faults.attackGlobal = "handler";
+    exp.options().faults.attackValue = 0xEE;
+    exp.options().faults.radioLoss = 0.2;
+    exp.options().faults.radioCorrupt = 0.1;
+    exp.options().faults.radioDup = 0.1;
+    exp.options().faults.recovery = sim::RecoveryPolicy::RebootOnTrap;
+    exp.addApp(tinyos::attackAppByName("AttackFnptrDispatch"));
+    exp.addApp(tinyos::appByName("Ident"));
+    exp.addApp({"Broken", "Mica2", "void main( {\n\"quote\"", {}, "test",
+                {}});
+    exp.addConfig(core::ConfigId::Baseline);
+    exp.addConfig(core::ConfigId::SafeFlidCfi);
+    return exp.run();
+}
+
+template <typename Emit>
+std::string
+emitted(Emit emit)
+{
+    std::ostringstream os;
+    emit(os);
+    return os.str();
+}
+
+TEST(GoldenReport, EveryEmissionMatchesItsFixture)
+{
+    const core::ExperimentReport rep = goldenReport();
+    ASSERT_TRUE(rep.simulated);
+    // The fixture must cover what it claims to.
+    ASSERT_FALSE(rep.builds.at(2, 0).ok);
+    ASSERT_FALSE(rep.sims.at(2, 0).ok);
+    ASSERT_TRUE(rep.sims.at(0, 1).ok) << rep.sims.at(0, 1).error;
+    ASSERT_FALSE(rep.sims.at(0, 1).outcome.trapLog.empty());
+
+    checkGoldenText("report_build_csv",
+                    normalizeCsvTimings(emitted(
+                        [&](std::ostream &os) { rep.builds.emitCsv(os); })));
+    checkGoldenText("report_build_json",
+                    normalizeJsonTimings(emitted(
+                        [&](std::ostream &os) { rep.builds.emitJson(os); })));
+    checkGoldenText("report_sim_csv",
+                    normalizeCsvTimings(emitted(
+                        [&](std::ostream &os) { rep.sims.emitCsv(os); })));
+    checkGoldenText("report_sim_json",
+                    normalizeJsonTimings(emitted(
+                        [&](std::ostream &os) { rep.sims.emitJson(os); })));
+    checkGoldenText("report_joined_csv",
+                    normalizeCsvTimings(emitted(
+                        [&](std::ostream &os) { rep.emitJoinedCsv(os); })));
+    checkGoldenText("report_joined_json",
+                    normalizeJsonTimings(emitted([&](std::ostream &os) {
+                        rep.emitJoinedJson(os);
+                    })));
 }
 
 } // namespace
