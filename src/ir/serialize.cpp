@@ -43,7 +43,6 @@ TypeTable::deserialize(BinReader &r)
     TypeTable tt;
     size_t n = r.u64();
     tt.types_.clear();
-    tt.types_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         Type t;
         t.kind = static_cast<TypeKind>(r.u8());

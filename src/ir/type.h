@@ -10,8 +10,8 @@
 #define STOS_IR_TYPE_H
 
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <vector>
 
 namespace stos::support {
 class BinWriter;
@@ -67,7 +67,9 @@ struct Type {
 
 /**
  * Interning table for types. Equal types always share a TypeId, so
- * type equality is integer comparison.
+ * type equality is integer comparison. A `const Type &` from get()
+ * stays valid while later types are interned: the storage is a deque,
+ * which never moves its elements on push_back.
  */
 class TypeTable {
   public:
@@ -116,7 +118,7 @@ class TypeTable {
   private:
     TypeId intern(const Type &t);
 
-    std::vector<Type> types_;
+    std::deque<Type> types_;
     TypeId voidId_, boolId_, fnPtrId_;
 };
 

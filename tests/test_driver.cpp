@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "core/experiment.h"
 #include "core/pool.h"
@@ -144,16 +146,22 @@ TEST(RunOnPool, WorkerExceptionsRethrowOnTheCallerNotTerminate)
         EXPECT_THROW(
             core::runOnPool(jobs, 64,
                             [&](size_t k) {
-                                if (k == 3)
-                                    throw std::runtime_error("cell 3");
+                                if (k == 0)
+                                    throw std::runtime_error("cell 0");
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(10));
                                 ran.fetch_add(1);
                             }),
             std::runtime_error)
             << "jobs=" << jobs;
-        // Job 3 fails in the first wave (the counter hands out 0..3
-        // first), and each worker may run at most one more job before
-        // observing the failure flag — far below the 60 jobs a
-        // drain-everything regression would complete.
+        // The submitter claims job 0 while it still holds the pool
+        // lock, so job 0 is in flight before any worker claims a job.
+        // It throws at once; each of the other jobs takes 10 ms and a
+        // worker checks the failure flag before its next claim. So
+        // every worker finishes at most the one job it claimed while
+        // job 0 unwound — unless that unwinding outlasts ~10 jobs'
+        // sleep — far below the 63 a drain-everything regression
+        // would complete.
         EXPECT_LT(ran.load(), 32u)
             << "workers must stop claiming jobs after a failure";
     }

@@ -26,6 +26,21 @@ TEST(TypeTable, InterningIsStable)
     EXPECT_NE(p1, tt.ptrTy(tt.u16()));
 }
 
+TEST(TypeTable, HeldReferencesSurviveInterning)
+{
+    // Lowering holds `const Type &` across calls that intern new
+    // types (e.g. coerce()); growing the table must not move them.
+    TypeTable tt;
+    TypeId p = tt.ptrTy(tt.u16());
+    const Type &held = tt.get(p);
+    const Type *addr = &held;
+    for (uint32_t n = 1; n <= 1000; ++n)
+        tt.arrayTy(tt.u8(), n);
+    EXPECT_EQ(&tt.get(p), addr);
+    EXPECT_EQ(held.kind, TypeKind::Ptr);
+    EXPECT_EQ(held.pointee, tt.u16());
+}
+
 TEST(TypeTable, PtrKindsAreDistinctTypes)
 {
     TypeTable tt;
