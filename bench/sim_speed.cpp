@@ -68,7 +68,8 @@ runLegacyCell(const backend::MProgram &image,
 /** One decoded-core run (Predecoded or Threaded). The cell image's
  *  decode is charged to the first predecoded run of the cell (paid
  *  once per program); the companion decodes come from the
- *  process-wide memo, exactly as the SimDriver shares them. */
+ *  process-wide memo, exactly as Experiment::simulateBuilds shares
+ *  them. */
 std::vector<MoteStats>
 runDecodedCell(
     const std::shared_ptr<const sim::DecodedProgram> &image,

@@ -27,59 +27,6 @@ namespace stos::core {
 using Clock = std::chrono::steady_clock;
 
 //---------------------------------------------------------------------
-// ExperimentReport
-//---------------------------------------------------------------------
-
-bool
-ExperimentReport::allOk() const
-{
-    return builds.allOk() && (!simulated || sims.allOk());
-}
-
-std::string
-ExperimentReport::summary() const
-{
-    std::string s = "build: " + builds.summary();
-    if (simulated)
-        s += "\nsim:   " + sims.summary();
-    return s;
-}
-
-void
-ExperimentReport::emitCsv(std::ostream &os) const
-{
-    if (simulated)
-        sims.emitCsv(os);
-    else
-        builds.emitCsv(os);
-}
-
-void
-ExperimentReport::emitJson(std::ostream &os) const
-{
-    if (simulated)
-        sims.emitJson(os);
-    else
-        builds.emitJson(os);
-}
-
-void
-ExperimentReport::emitJoinedCsv(std::ostream &os) const
-{
-    if (!simulated)
-        throw FatalError("joined report requires a simulated matrix");
-    sims.joinCsv(builds, os);
-}
-
-void
-ExperimentReport::emitJoinedJson(std::ostream &os) const
-{
-    if (!simulated)
-        throw FatalError("joined report requires a simulated matrix");
-    sims.joinJson(builds, os);
-}
-
-//---------------------------------------------------------------------
 // Matrix declaration
 //---------------------------------------------------------------------
 

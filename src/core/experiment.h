@@ -14,9 +14,9 @@
  * simulation loop, and the artifact-store plumbing all live here.
  * Point options().cache.dir at a directory and every stage product
  * persists on disk under its content key — a second process (or CI
- * run) over the same matrix executes zero stages. BuildDriver and
- * SimDriver survive only as the static equivalence helpers the
- * serial/parallel gates are phrased in.
+ * run) over the same matrix executes zero stages. The reports it
+ * returns, their CSV/JSON emitters and the equivalence helpers the
+ * serial/parallel gates are phrased in live in core/report.h.
  *
  * Typical use (what every figure bench does via BenchCli):
  *
@@ -31,13 +31,22 @@
 #ifndef STOS_CORE_EXPERIMENT_H
 #define STOS_CORE_EXPERIMENT_H
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "core/simdriver.h"
+#include "core/report.h"
+#include "core/stagecache.h"
 
 namespace stos::core {
+
+/** One column of the evaluation matrix. */
+struct ConfigSpec {
+    std::string label;
+    /** Build the PipelineConfig for an app's platform. */
+    std::function<PipelineConfig(const std::string &platform)> make;
+};
 
 struct ExperimentOptions {
     /** Worker threads for both phases; 0 = hardware concurrency. */
@@ -78,33 +87,6 @@ struct ExperimentOptions {
      * diagnostic instead of hanging the whole bench.
      */
     double cellTimeout = 0.0;
-};
-
-/**
- * The combined result of one Experiment::run(): the static build
- * matrix and (when simulated) the dynamic simulation matrix over the
- * same cells.
- */
-struct ExperimentReport {
-    BuildReport builds;
-    SimReport sims;        ///< valid only when `simulated`
-    bool simulated = false;
-
-    bool allOk() const;
-    /** One-line stats (build phase; plus sim phase when simulated). */
-    std::string summary() const;
-
-    /**
-     * Primary emission: the joined static+dynamic table when
-     * simulated (one row per cell: code/RAM/ROM/checks next to duty
-     * cycle and execution counters), the build table otherwise.
-     */
-    void emitCsv(std::ostream &os) const;
-    void emitJson(std::ostream &os) const;
-
-    /** The joined table, explicitly (throws unless simulated). */
-    void emitJoinedCsv(std::ostream &os) const;
-    void emitJoinedJson(std::ostream &os) const;
 };
 
 class Experiment {

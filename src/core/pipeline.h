@@ -247,7 +247,7 @@ simulateInContext(const backend::MProgram &image,
 /**
  * As above, but on predecoded images: each mote executes the shared
  * immutable decode instead of re-decoding its firmware — this is what
- * SimDriver feeds with memoized companion decodes.
+ * Experiment::simulateBuilds feeds with memoized companion decodes.
  */
 SimOutcome simulateDecoded(
     const std::shared_ptr<const sim::DecodedProgram> &image,
@@ -260,7 +260,8 @@ SimOutcome simulateDecoded(
  * baseline builds) for `seconds` of simulated time; returns the duty
  * cycle of the mote under test. Convenience wrapper that rebuilds the
  * companions on every call — batch workloads should go through
- * SimDriver, which memoizes companion images per (app, platform).
+ * Experiment::simulateBuilds, whose StageCache memoizes companion
+ * images per (app, platform).
  */
 double measureDutyCycle(const tinyos::AppInfo &app,
                         const backend::MProgram &image, double seconds);

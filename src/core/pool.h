@@ -1,7 +1,7 @@
 /**
  * @file
- * The shared worker-pool used by BuildDriver, SimDriver, the
- * Experiment facade, and the simulator's window-parallel network
+ * The shared worker-pool used by the Experiment facade's build and
+ * simulation phases and by the simulator's window-parallel network
  * scheduler.
  *
  * WorkerPool owns a fixed set of persistent threads created once and

@@ -9,7 +9,7 @@
  * Lea operands as absolute addresses (killing the linear data-layout
  * scan), and the self-loop Jmp that marks a wedged failure stub. The
  * decode is immutable and therefore shared — all motes of a network,
- * and all SimDriver cells running the same firmware (memoized
+ * and all Experiment cells running the same firmware (memoized
  * companions in particular), execute one decode.
  *
  * Two execution streams are produced per function:

@@ -265,7 +265,8 @@ struct NetworkOptions {
      * Persistent worker pool the parallel scheduler dispatches each
      * window on (null = the process-wide core::sharedPool()). Window
      * stepping borrows pool workers instead of spawning threads per
-     * run, so thousands of SimDriver cells reuse one set of threads.
+     * run, so thousands of simulated matrix cells reuse one set of
+     * threads.
      */
     core::WorkerPool *pool = nullptr;
     /**

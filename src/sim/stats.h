@@ -5,8 +5,8 @@
  * equivalence suite and the sim_speed benchmark both compare these,
  * so adding a new observable (a future device statistic, say) to the
  * contract means extending this struct — every gate tightens in
- * lockstep. SimDriver::recordsEquivalent compares the SimOutcome
- * subset of the same fields at the report level.
+ * lockstep. SimDriver::recordsEquivalent (core/report.h) compares
+ * the SimOutcome subset of the same fields at the report level.
  */
 #ifndef STOS_SIM_STATS_H
 #define STOS_SIM_STATS_H

@@ -4,10 +4,8 @@
  * deterministic ordering under any thread count, parallel-vs-serial
  * result equivalence, frontend memoization accounting, failure
  * isolation, the canned Figure-2/3 matrices, and the BuildReport
- * emitters. Historically these gated BuildDriver; the deprecated
- * forwarding shims are gone and the same coverage now targets the
- * engine directly (core/experiment.h), with BuildDriver surviving
- * only as the equivalence-helper vocabulary.
+ * emitters, all through the Experiment engine (core/experiment.h);
+ * BuildDriver (core/report.h) is the equivalence-helper vocabulary.
  */
 #include <gtest/gtest.h>
 

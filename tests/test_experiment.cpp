@@ -140,17 +140,22 @@ TEST(Experiment, MatchesTheExplicitTwoStepCellForCell)
     EXPECT_TRUE(SimDriver::reportsEquivalent(sims, rep.sims, &why))
         << why;
 
-    std::ostringstream fromFacade, fromDrivers;
-    rep.emitJoinedCsv(fromFacade);
-    sims.joinCsv(builds, fromDrivers);
-    EXPECT_EQ(stripCsvTimings(fromFacade.str()),
-              stripCsvTimings(fromDrivers.str()));
+    ExperimentReport explicitRep;
+    explicitRep.builds = builds;
+    explicitRep.sims = sims;
+    explicitRep.simulated = true;
 
-    std::ostringstream jsonFacade, jsonDrivers;
+    std::ostringstream fromFacade, fromTwoStep;
+    rep.emitJoinedCsv(fromFacade);
+    explicitRep.emitJoinedCsv(fromTwoStep);
+    EXPECT_EQ(stripCsvTimings(fromFacade.str()),
+              stripCsvTimings(fromTwoStep.str()));
+
+    std::ostringstream jsonFacade, jsonTwoStep;
     rep.emitJoinedJson(jsonFacade);
-    sims.joinJson(builds, jsonDrivers);
+    explicitRep.emitJoinedJson(jsonTwoStep);
     EXPECT_EQ(stripJsonTimings(jsonFacade.str()),
-              stripJsonTimings(jsonDrivers.str()));
+              stripJsonTimings(jsonTwoStep.str()));
 }
 
 TEST(Experiment, BuildOnlyModeSkipsTheSimPhase)

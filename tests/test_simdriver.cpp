@@ -5,10 +5,9 @@
  * platform, concurrent lookups race-free, persistent across runs),
  * parallel-vs-serial SimReport equivalence across every Figure-3
  * configuration, matrix shape/ordering, failure isolation, and the
- * CSV/JSON report emitters. Historically these gated SimDriver; the
- * deprecated forwarding shims are gone and the same coverage now
- * targets Experiment::simulateBuilds directly, with SimDriver
- * surviving only as the equivalence-helper vocabulary.
+ * CSV/JSON report emitters, all through Experiment::simulateBuilds;
+ * SimDriver (core/report.h) is the equivalence-helper vocabulary, and
+ * its field-by-field comparison is checked one field at a time.
  */
 #include <gtest/gtest.h>
 
@@ -337,13 +336,81 @@ TEST(SimMatrix, LookaheadParallelNetworksMatchSerial)
         << why;
 }
 
+TEST(SimDriver, RecordsEquivalentNamesEveryDifferingField)
+{
+    // Flip one outcome field at a time: the integer counters are
+    // compared through the report's column table and named by their
+    // column; duty cycle, UART log and trap log compare exactly.
+    SimRecord base;
+    base.app = "App";
+    base.config = "cfg";
+    base.ok = true;
+    base.outcome.dutyCycle = 0.25;
+    base.outcome.awakeCycles = 100;
+    base.outcome.totalCycles = 400;
+    base.outcome.instructions = 50;
+    base.outcome.uartLog = "hello";
+    base.outcome.trapLog.push_back(sim::TrapEntry{7, 90, 3, 0});
+    std::string why;
+    ASSERT_TRUE(SimDriver::recordsEquivalent(base, base, &why)) << why;
+
+    struct Flip {
+        const char *field;
+        void (*apply)(SimOutcome &);
+    };
+    const Flip flips[] = {
+        {"awake_cycles", [](SimOutcome &o) { ++o.awakeCycles; }},
+        {"total_cycles", [](SimOutcome &o) { ++o.totalCycles; }},
+        {"instructions", [](SimOutcome &o) { ++o.instructions; }},
+        {"halted", [](SimOutcome &o) { o.halted = !o.halted; }},
+        {"wedged", [](SimOutcome &o) { o.wedged = !o.wedged; }},
+        {"failed_flid", [](SimOutcome &o) { ++o.failedFlid; }},
+        {"traps", [](SimOutcome &o) { ++o.traps; }},
+        {"cfi_traps", [](SimOutcome &o) { ++o.cfiTraps; }},
+        {"reboots", [](SimOutcome &o) { ++o.reboots; }},
+        {"crashes", [](SimOutcome &o) { ++o.crashes; }},
+        {"down_cycles", [](SimOutcome &o) { ++o.downCycles; }},
+        {"wedged_cycles", [](SimOutcome &o) { ++o.wedgedCycles; }},
+        {"packets_dropped", [](SimOutcome &o) { ++o.packetsDropped; }},
+        {"packets_corrupted",
+         [](SimOutcome &o) { ++o.packetsCorrupted; }},
+        {"packets_duplicated",
+         [](SimOutcome &o) { ++o.packetsDuplicated; }},
+        {"uart_bytes", [](SimOutcome &o) { o.uartLog += '!'; }},
+        {"dutyCycle", [](SimOutcome &o) { o.dutyCycle += 1e-12; }},
+        {"uartLog", [](SimOutcome &o) { o.uartLog[0] = 'j'; }},
+        {"trapLog", [](SimOutcome &o) { ++o.trapLog[0].pc; }},
+    };
+    for (const Flip &f : flips) {
+        SimRecord other = base;
+        f.apply(other.outcome);
+        why.clear();
+        EXPECT_FALSE(SimDriver::recordsEquivalent(base, other, &why))
+            << f.field;
+        EXPECT_NE(why.find(std::string("App/cfg: ") + f.field),
+                  std::string::npos)
+            << f.field << ": " << why;
+    }
+}
+
+/** A simulated ExperimentReport over `builds`, for the joined table. */
+ExperimentReport
+joined(const BuildReport &builds, const SimReport &sims)
+{
+    ExperimentReport rep;
+    rep.builds = builds;
+    rep.sims = sims;
+    rep.simulated = true;
+    return rep;
+}
+
 TEST(SimReport, JoinedCsvMergesStaticAndDynamicColumns)
 {
     BuildReport builds = smallBuilds();
     SimReport rep = runSim(builds);
 
     std::ostringstream os;
-    rep.joinCsv(builds, os);
+    joined(builds, rep).emitJoinedCsv(os);
     std::istringstream in(os.str());
     std::string header;
     ASSERT_TRUE(std::getline(in, header));
@@ -364,7 +431,7 @@ TEST(SimReport, JoinedJsonRoundTripsStructure)
     SimReport rep = runSim(builds);
 
     std::ostringstream os;
-    rep.joinJson(builds, os);
+    joined(builds, rep).emitJoinedJson(os);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"kind\": \"joined_report\""),
               std::string::npos);
@@ -390,8 +457,8 @@ TEST(SimReport, JoinRejectsAMismatchedBuildReport)
     BuildReport other = b.run().builds;
 
     std::ostringstream os;
-    EXPECT_THROW(rep.joinCsv(other, os), FatalError);
-    EXPECT_THROW(rep.joinJson(other, os), FatalError);
+    EXPECT_THROW(joined(other, rep).emitJoinedCsv(os), FatalError);
+    EXPECT_THROW(joined(other, rep).emitJoinedJson(os), FatalError);
 }
 
 TEST(SimReport, CsvHasHeaderOneRowPerCellAndQuotedLabels)
