@@ -234,14 +234,18 @@ normalizeCsvTimings(const std::string &csv)
     EXPECT_TRUE(field.empty() && rows.back().empty())
         << "CSV must end with a newline";
     rows.pop_back();
+    if (rows.empty())
+        return csv;
+    const std::vector<std::string> &header = rows.front();
     std::string out;
-    for (const auto &row : rows) {
-        EXPECT_EQ(row.size(), rows.front().size()) << "ragged CSV row";
-        for (size_t i = 0; i < row.size(); ++i) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+        if (rows[r].size() != header.size()) {
+            ADD_FAILURE() << "ragged CSV row " << r;
+            return csv;
+        }
+        for (size_t i = 0; i < header.size(); ++i) {
             out += i ? "," : "";
-            out += isTimingColumn(rows.front()[i]) && &row != &rows[0]
-                       ? "T"
-                       : row[i];
+            out += r > 0 && isTimingColumn(header[i]) ? "T" : rows[r][i];
         }
         out += '\n';
     }
