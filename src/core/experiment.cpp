@@ -293,8 +293,8 @@ Experiment::simulateBuilds(const BuildReport &builds,
 
     sim::NetworkOptions netOpts;
     netOpts.mode = opts_.mode;
-    // Lookahead windows belong to the decoded paths (Predecoded and
-    // Threaded); Legacy keeps the fixed-quantum lockstep it always
+    // Lookahead windows belong to the decoded loop (both of its
+    // streams); Legacy keeps the fixed-quantum lockstep it always
     // had (it is the reference the equivalence gates compare
     // against).
     netOpts.lookahead = opts_.mode != sim::ExecMode::Legacy;

@@ -294,16 +294,6 @@ backendFingerprint(const PipelineConfig &cfg)
 }
 
 BuildResult
-buildFromFrontend(const FrontendProduct &fe, const PipelineConfig &cfg)
-{
-    return runBackendStage(
-        runOptStage(runSafetyStage(fe.module.clone(),
-                                   fe.sourceManager.get(), cfg),
-                    cfg),
-        cfg);
-}
-
-BuildResult
 buildSource(const std::string &name, const std::string &src,
             const PipelineConfig &cfg)
 {

@@ -192,15 +192,6 @@ std::string safetyFingerprint(const PipelineConfig &cfg);
 std::string optFingerprint(const PipelineConfig &cfg);
 std::string backendFingerprint(const PipelineConfig &cfg);
 
-/**
- * Run the config-dependent stages (safety, cXprop, backend) on a
- * clone of the memoized frontend output. Safe to call concurrently on
- * the same FrontendProduct from multiple threads. Equivalent to
- * chaining the three stage functions above.
- */
-BuildResult buildFromFrontend(const FrontendProduct &fe,
-                              const PipelineConfig &cfg);
-
 /** Run the full pipeline on one application. */
 BuildResult buildApp(const tinyos::AppInfo &app,
                      const PipelineConfig &cfg);
@@ -245,7 +236,7 @@ simulateInContext(const backend::MProgram &image,
                   double seconds, const sim::NetworkOptions &net = {});
 
 /**
- * As above, but on predecoded images: each mote executes the shared
+ * As above, but on decoded images: each mote executes the shared
  * immutable decode instead of re-decoding its firmware — this is what
  * Experiment::simulateBuilds feeds with memoized companion decodes.
  */

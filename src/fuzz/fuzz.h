@@ -15,8 +15,9 @@
  *
  *  - checkProgram() / checkBatch(): the differential oracles. Per
  *    program: IR interpreter vs machine simulator, safe vs unsafe,
- *    Legacy vs Predecoded vs Threaded core (oracles 1-3). Per corpus, via the
- *    Experiment facade: memoized-parallel vs cold-serial builds and
+ *    legacy core vs the decoded loop's unfused (Predecoded) and fused
+ *    (Threaded) streams (oracles 1-3). Per corpus, via the Experiment
+ *    facade: memoized-parallel vs cold-serial builds and
  *    sims, and cold vs cached byte-identity (oracles 4-5).
  *
  *  - minimize(): a delta-debugging (ddmin) line minimizer that

@@ -162,7 +162,7 @@ checkProgramImpl(const std::string &src)
                     joinErrors(errs)};
 
         // Oracle 1 (interp vs machine) + oracle 2 (safe vs unsafe)
-        // + oracle 3 (Legacy vs Predecoded vs Threaded): every
+        // + oracle 3 (legacy vs unfused vs fused decoded stream): every
         // (mode, engine) execution must match the unsafe
         // interpreter reference.
         ir::Module forInterp = m.clone();

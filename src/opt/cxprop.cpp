@@ -6,14 +6,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <cstdlib>
-#include <cstdio>
 #include <map>
 
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
 #include "analysis/pointsto.h"
-#include "ir/printer.h"
 #include "opt/passes.h"
 #include "support/util.h"
 
@@ -497,12 +494,6 @@ class Engine {
           case Opcode::ChkBounds:
           case Opcode::ChkWild: {
             AbsVal v = ev(0);
-            // Set CXPROP_DEBUG_CHECKS in the environment to trace why
-            // individual checks survive.
-            if (rep && std::getenv("CXPROP_DEBUG_CHECKS")) {
-                fprintf(stderr, "check in %s: %s flid=%u\n",
-                        f.name.c_str(), v.toString().c_str(), in.flid);
-            }
             if (v.kind == AbsVal::Ptr && v.exactObj) {
                 auto size = objSize(mod_, v.obj);
                 bool lowerOk = in.op == Opcode::ChkUBound
@@ -794,15 +785,6 @@ runCxprop(Module &m, const CxpropOptions &opts)
             rep.atomicsRemoved +=
                 ar.nestedRemoved + ar.handlerAtomicsRemoved;
             rep.atomicSavesDowngraded += ar.savesDowngraded;
-        }
-        if (std::getenv("STOS_CXPROP_DEBUG")) {
-            std::fprintf(stderr, "=== after cxprop round %d ===\n",
-                         round + 1);
-            for (auto &f : m.funcs()) {
-                if (!f.dead && f.name == "main")
-                    std::fprintf(stderr, "%s\n",
-                                 ir::functionToString(m, f).c_str());
-            }
         }
         uint32_t after = rep.checksRemoved + rep.instrsConstFolded +
                          rep.branchesFolded;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Predecoded firmware images for the simulator. A DecodedProgram is
+ * Decoded firmware images for the simulator. A DecodedProgram is
  * built once per MProgram and flattens every function's basic blocks
  * into a single instruction array, resolving at decode time every
  * static fact the interpreter would otherwise re-derive per executed
@@ -12,19 +12,21 @@
  * and all Experiment cells running the same firmware (memoized
  * companions in particular), execute one decode.
  *
- * Two execution streams are produced per function:
+ * Two execution streams are produced per function, and one decoded
+ * interpreter loop (sim/threaded.cpp) runs either:
  *
- *  - `instrs` is the plain flattened stream the Predecoded core
- *    executes — one DInstr per MInstr plus a Halt sentinel.
- *  - `fused` is the direct-threaded stream the Threaded core
- *    executes: identical offsets (so branch targets and frame ip
+ *  - `instrs` is the plain flattened stream — one DInstr per MInstr
+ *    plus a Halt sentinel. ExecMode::Predecoded runs it, as the
+ *    unfused reference the fusion pass is checked against.
+ *  - `fused` is the stream ExecMode::Threaded, the production mode,
+ *    runs: identical offsets (so branch targets and frame ip
  *    values mean the same thing in both), but with hot
  *    two-instruction sequences rewritten into superinstructions at
  *    the first instruction's slot. The second original instruction is
  *    left in place so a superinstruction that crosses the event
  *    horizon mid-pair can stop after its first half with `ip`
  *    pointing at a valid continuation — which is what keeps fused
- *    execution byte-identical to the unfused cores at every device,
+ *    execution byte-identical to unfused execution at every device,
  *    fault, and interrupt boundary.
  *
  * DInstr itself is 24 bytes (down from 64): branch target, call

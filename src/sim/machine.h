@@ -6,25 +6,27 @@
  * time across SLEEP, and accounts the duty cycle (awake / total
  * cycles) that the paper's Figure 3(c) reports.
  *
- * Three interpreter cores share one device model and one observable
- * behaviour:
+ * Two interpreter loops share one device model, one fault/recovery
+ * preamble (Machine::serviceBoundary) and one observable behaviour:
  *
- *  - ExecMode::Legacy is the original reference interpreter: it
- *    re-derives static facts (cycle cost, width masks, call targets,
- *    data addresses) on every executed instruction and polls the
- *    device hub between every step.
- *  - ExecMode::Predecoded executes a sim::DecodedProgram (built once
- *    per image, shareable across motes and threads) in an
- *    event-horizon loop: the device hub is consulted once per horizon
- *    — min(target, next device event) — and a tight instruction loop
- *    runs untouched until the horizon, an I/O access, or a wakeup.
- *  - ExecMode::Threaded executes the same DecodedProgram's fused
- *    direct-threaded stream (sim/threaded.cpp): computed-goto
- *    dispatch with per-opcode exit checks, superinstructions for hot
- *    pairs, and adaptive horizons that re-aim only when the device
- *    hub's schedule version actually moved.
+ *  - ExecMode::Legacy is the reference interpreter: it re-derives
+ *    static facts (cycle cost, width masks, call targets, data
+ *    addresses) on every executed instruction and polls the device
+ *    hub between every step. It is the independent cycle-accounting
+ *    reference.
+ *  - The decoded loop (sim/threaded.cpp) executes a
+ *    sim::DecodedProgram, built once per image and shareable across
+ *    motes and threads, with computed-goto dispatch and event
+ *    horizons: the device hub is consulted once per horizon —
+ *    min(target, next device event, next fault) — and re-aimed only
+ *    when the hub's schedule version actually moved.
+ *    ExecMode::Threaded, the production core and the default, runs it
+ *    over the fused superinstruction stream (DFunc::fused);
+ *    ExecMode::Predecoded runs it over the unfused stream
+ *    (DFunc::instrs), which makes Predecoded vs Threaded the
+ *    differential oracle for the superinstructions.
  *
- * The equivalence suite holds all three cores identical on every
+ * The equivalence suite holds all three modes identical on every
  * counter (cycles, awake cycles, instructions, flid, uart log).
  */
 #ifndef STOS_SIM_MACHINE_H
@@ -48,15 +50,20 @@ class WorkerPool;
 
 namespace stos::sim {
 
-/** Which interpreter core executes the firmware. */
+/** Which interpreter loop and instruction stream run the firmware. */
 enum class ExecMode {
-    Legacy,      ///< reference core: per-step re-derivation + hub polls
-    Predecoded,  ///< DecodedProgram + event-horizon scheduling
+    Legacy,  ///< reference core: per-step re-derivation + hub polls
     /**
-     * Direct-threaded core: executes the DecodedProgram's fused
-     * stream with computed-goto dispatch (portable switch fallback
-     * behind STOS_THREADED_SWITCH) and adaptive event horizons —
-     * identical observable behaviour to the other two cores.
+     * The decoded loop over the unfused stream (DFunc::instrs): the
+     * fused-vs-unfused oracle that checks Threaded's
+     * superinstructions.
+     */
+    Predecoded,
+    /**
+     * The decoded loop over the fused stream (DFunc::fused):
+     * computed-goto dispatch (portable switch fallback behind
+     * STOS_THREADED_SWITCH), superinstructions and adaptive event
+     * horizons — identical observable behaviour to the other modes.
      */
     Threaded,
 };
@@ -64,11 +71,12 @@ enum class ExecMode {
 class Machine {
   public:
     explicit Machine(const backend::MProgram &prog, uint8_t nodeId = 1,
-                     ExecMode mode = ExecMode::Predecoded);
-    /** Execute a shared immutable predecode (no per-mote decode). */
+                     ExecMode mode = ExecMode::Threaded);
+    /** Execute a shared immutable decode (no per-mote decode); a
+     *  Legacy request runs as Predecoded. */
     explicit Machine(std::shared_ptr<const DecodedProgram> prog,
                      uint8_t nodeId = 1,
-                     ExecMode mode = ExecMode::Predecoded);
+                     ExecMode mode = ExecMode::Threaded);
 
     /** Start executing at the entry point (call before runUntil). */
     void boot();
@@ -151,16 +159,26 @@ class Machine {
     struct Frame {
         uint32_t funcIdx = 0;
         uint32_t block = 0;            ///< legacy core: block index
-        size_t ip = 0;                 ///< legacy: in-block; predecoded: flat
-        const DFunc *df = nullptr;     ///< predecoded core
+        size_t ip = 0;                 ///< legacy: in-block; decoded: flat
+        const DFunc *df = nullptr;     ///< decoded loop
         uint32_t fp = 0;
         std::vector<uint64_t> regs;
         bool fromIrq = false;
     };
 
     void runLegacy(uint64_t target);
-    void runPredecoded(uint64_t target);
-    void runThreaded(uint64_t target);
+    void runDecoded(uint64_t target);
+    /**
+     * The fault/recovery preamble both loops run at every dispatch
+     * opportunity, so faults land at the same instruction boundaries
+     * on every core: finish a reboot, apply due faults, recover or
+     * fast-forward a wedged mote, sleep until the next event, then
+     * drain device events and dispatch an interrupt. Returns true when
+     * the top frame may execute; false when the caller's loop must
+     * re-test its condition (every early exit leaves cycles_ at the
+     * target or halted_ set, which ends that loop).
+     */
+    bool serviceBoundary(uint64_t target);
     void step();
     void dispatchIrqs();
     void enterFunction(uint32_t funcIdx, bool fromIrq);
@@ -183,6 +201,9 @@ class Machine {
     void drainDeviceEvents();
 
     ExecMode mode_;
+    /** The stream the decoded loop executes, fixed by mode_. */
+    std::vector<DInstr> DFunc::*const stream_ =
+        mode_ == ExecMode::Predecoded ? &DFunc::instrs : &DFunc::fused;
     std::shared_ptr<const DecodedProgram> decoded_;  ///< null in legacy
     const backend::MProgram &prog_;
     DeviceHub dev_;
@@ -245,7 +266,7 @@ class Machine {
 /** Scheduling options for a mote network. */
 struct NetworkOptions {
     /** Interpreter core for motes added via the MProgram overload. */
-    ExecMode mode = ExecMode::Predecoded;
+    ExecMode mode = ExecMode::Threaded;
     /**
      * Conservative-lookahead windows: sync every
      * min(kAirLatency, next pending radio delivery) cycles instead of
@@ -304,7 +325,7 @@ class Network {
 
     /** Add a mote running `prog` with the given node id. */
     Machine &addMote(const backend::MProgram &prog, uint8_t nodeId);
-    /** Add a mote executing a shared predecoded image. */
+    /** Add a mote executing a shared decoded image. */
     Machine &addMote(std::shared_ptr<const DecodedProgram> prog,
                      uint8_t nodeId);
 

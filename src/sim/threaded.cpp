@@ -1,24 +1,29 @@
 /**
  * @file
- * The direct-threaded interpreter core (ExecMode::Threaded).
+ * The decoded interpreter loop, shared by ExecMode::Threaded and
+ * ExecMode::Predecoded.
  *
- * Executes DFunc::fused — the superinstruction stream the decode-time
- * fusion pass builds (sim/decoded.cpp) — with computed-goto dispatch:
- * every handler ends by jumping straight to the next handler through
- * a label table, so the branch predictor sees one indirect branch per
+ * Executes one of a DecodedProgram's two streams (sim/decoded.cpp),
+ * chosen once per Machine: DFunc::fused, the superinstruction stream
+ * the decode-time fusion pass builds (Threaded), or DFunc::instrs, the
+ * same code unfused (Predecoded). Dispatch is computed-goto: every
+ * handler ends by jumping straight to the next handler through a
+ * label table, so the branch predictor sees one indirect branch per
  * opcode site instead of a single shared dispatch branch. On
  * non-GNU-compatible compilers, or when STOS_THREADED_SWITCH is
  * defined, the same handler bodies compile as a portable
  * switch-in-a-loop instead.
  *
  * Equivalence contract (held by tests/test_sim_equivalence.cpp and
- * the differential fuzzer): this core is byte-identical to the legacy
- * and predecoded cores on every observable counter — cycles,
- * instructions, faults, CFI traps, the trap log, and the UART log.
- * The mechanisms:
+ * the differential fuzzer): both streams are byte-identical to the
+ * legacy core on every observable counter — cycles, instructions,
+ * faults, CFI traps, the trap log, and the UART log. The unfused
+ * stream runs every plain handler below and no superinstruction, so
+ * Predecoded vs Threaded isolates the fusion pass. The mechanisms:
  *
- *  - The fault/recovery preamble is textually identical to
- *    runPredecoded, so faults land at the same boundaries.
+ *  - Both loops call the same fault/recovery preamble
+ *    (Machine::serviceBoundary), so faults land at the same
+ *    boundaries.
  *  - A superinstruction executes its two sub-instructions with the
  *    original per-instruction accounting, and re-checks the event
  *    horizon between them. `ip` is incremented before each sub-op
@@ -28,21 +33,20 @@
  *  - When interrupts are already deliverable at loop entry (an
  *    unhandled vector was popped with more queued), the local horizon
  *    `hz` is forced to 0 so exactly one original instruction runs per
- *    dispatch opportunity, matching the other cores.
+ *    dispatch opportunity, matching the legacy core.
  *  - Every first sub-instruction of a fused pair is pure (registers,
  *    memory, argBuf only), so between sub-ops only the horizon can
  *    have moved; likewise pure handlers re-check only the horizon,
  *    while handlers that can halt/wedge/sleep/reboot or touch the
- *    interrupt flag run the full exit check runPredecoded performs
- *    after every instruction.
+ *    interrupt flag run the full exit check (halt/wedge/sleep/down,
+ *    deliverable interrupt, horizon).
  *
- * Adaptive horizons: the predecoded core conservatively re-aims its
- * event horizon (two scheduling consultations) after every In/Out.
- * Here re-aiming is gated on DeviceHub::scheduleVersion(), which
- * register reads never bump — so an awake busy-wait loop polling a
- * device register batches instructions up to the real horizon instead
- * of consulting the hub every iteration (asserted by the
- * adaptive-horizon test in tests/test_sim.cpp).
+ * Adaptive horizons: re-aiming the event horizon after an In/Out is
+ * gated on DeviceHub::scheduleVersion(), which register reads never
+ * bump — so an awake busy-wait loop polling a device register batches
+ * instructions up to the real horizon instead of consulting the hub
+ * every iteration, where the legacy core consults it every step
+ * (asserted by the adaptive-horizon test in tests/test_sim.cpp).
  */
 #include "sim/machine.h"
 
@@ -107,81 +111,23 @@ aluEval(MOp op, uint64_t x, uint64_t y, uint8_t w)
 } // namespace
 
 void
-Machine::runThreaded(uint64_t target)
+Machine::runDecoded(uint64_t target)
 {
     while (cycles_ < target && !halted_) {
-        // Fault/recovery preamble: textually identical to runLegacy
-        // so faults land at the same instruction boundaries.
-        if (down_) {
-            // Rebooting: powered but not executing until downUntil_.
-            if (downUntil_ > target) {
-                downCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            downCycles_ += downUntil_ - cycles_;
-            cycles_ = downUntil_;
-            down_ = false;
-            boot();
+        if (!serviceBoundary(target))
             continue;
-        }
-        applyFaultsDue();
-        if (down_)
-            continue;  // a crash fault rebooted us
-        if (wedged_) {
-            if (recovery_ == RecoveryPolicy::RebootOnWedge) {
-                startReboot();
-                continue;
-            }
-            // Spinning awake in the failure stub — but a scheduled
-            // crash can still power-cycle a wedged mote, so only
-            // fast-forward to the next fault.
-            uint64_t stop = std::min(target, nextFaultAt());
-            wedgedCycles_ += stop - cycles_;
-            cycles_ = stop;
-            if (cycles_ >= target)
-                return;
-            continue;
-        }
-        if (sleeping_) {
-            uint64_t next =
-                std::min(dev_.nextEventAt(), nextFaultAt());
-            if (next == UINT64_MAX || next > target) {
-                sleepCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            if (next > cycles_) {
-                sleepCycles_ += next - cycles_;
-                cycles_ = next;
-            }
-            if (dev_.nextEventAt() <= cycles_) {
-                sleeping_ = false;  // the event below wakes the core
-            } else {
-                // Only a fault is due: injecting state does not wake
-                // a sleeping CPU, so apply it and stay asleep.
-                applyFaultsDue();
-                continue;
-            }
-        }
-        drainDeviceEvents();
-        dispatchIrqs();
-        if (frames_.empty()) {
-            halted_ = true;
-            return;
-        }
         // Event horizon: no device event (or scheduled fault) can
         // fire before this cycle. `hz` is the local copy every
         // handler's exit check compares against; it is forced to 0
         // when interrupts are already deliverable so exactly one
         // instruction runs before the outer loop dispatches them
-        // (the other cores break on their explicit irq check).
+        // (the legacy core re-checks them before every step).
         uint64_t horizon =
             std::min({target, dev_.nextEventAt(), nextFaultAt()});
         uint64_t schedVer = dev_.scheduleVersion();
         uint64_t hz = (iflag_ && irqPending()) ? 0 : horizon;
         Frame *frp = &frames_.back();
-        const DInstr *code = frp->df->fused.data();
+        const DInstr *code = (frp->df->*stream_).data();
         uint64_t *regs = frp->regs.data();
         const DInstr *in = nullptr;
         // VM state lives in locals across the dispatch loop: handler
@@ -196,7 +142,7 @@ Machine::runThreaded(uint64_t target)
         uint64_t nexec = instrs_;
         auto refreshFrame = [&] {
             frp = &frames_.back();
-            code = frp->df->fused.data();
+            code = (frp->df->*stream_).data();
             regs = frp->regs.data();
             ip = frp->ip;
         };
@@ -212,7 +158,7 @@ Machine::runThreaded(uint64_t target)
             }
         };
 
-// Per-instruction accounting, identical to the other cores: ip is
+// Per-instruction accounting, identical to the legacy core: ip is
 // bumped before the handler body runs (so control-flow handlers can
 // overwrite it and mid-pair stops resume correctly).
 #define ACCT1()                                                        \
@@ -237,7 +183,8 @@ Machine::runThreaded(uint64_t target)
         instrs_ = nexec;                                               \
     } while (0)
 // Exit checks. CHEAP is for handlers that can only advance time;
-// FULL mirrors runPredecoded's complete per-instruction epilogue.
+// FULL also stops on halt/wedge/sleep/reboot and on an interrupt that
+// has become deliverable.
 #define EXIT_CHEAP()                                                   \
     do {                                                               \
         if (cyc >= hz)                                                 \
@@ -766,7 +713,7 @@ Machine::runThreaded(uint64_t target)
         }
         OP(Halt)
         {
-            // Handled before accounting, like the other cores.
+            // The end-of-function sentinel: halts without accounting.
             halted_ = true;
             goto out;
         }

@@ -3,12 +3,13 @@
  * Fault-injection determinism suite (sim/fault.h). The contract under
  * test: a fault campaign is a pure function of its seed — the same
  * FaultOptions produce byte-identical MoteSnapshots on the legacy
- * lockstep scheduler, the predecoded serial lookahead scheduler, and
- * the predecoded window-parallel scheduler; different seeds produce
- * different outcomes; reboots preserve the persistent counters and
- * the bounded trap log; radio loss/corruption/duplication rates land
- * inside statistical bounds; early-exit and the wall-clock watchdog
- * degrade gracefully without changing results.
+ * lockstep scheduler and the decoded loop (unfused stream) under the
+ * serial lookahead and window-parallel schedulers; different seeds
+ * produce different outcomes; reboots preserve the persistent
+ * counters and the bounded trap log; radio loss/corruption/
+ * duplication rates land inside statistical bounds; early-exit and
+ * the wall-clock watchdog degrade gracefully without changing
+ * results.
  */
 #include <gtest/gtest.h>
 

@@ -118,11 +118,12 @@ TEST(Machine, AdaptiveHorizonBatchesBusyWaitPolling)
 {
     // A busy-wait polling loop: every iteration reads a device
     // register (In), but nothing ever changes the device schedule.
-    // The predecoded core conservatively re-aims its event horizon
-    // after every In; the threaded core re-aims only when the hub's
-    // schedule version moved, so the whole loop batches under one
-    // horizon. The observable run must be identical either way — the
-    // consultation count is the only permitted difference.
+    // The legacy core polls the hub before every step; the decoded
+    // loop re-aims its event horizon only when the hub's schedule
+    // version moved, so the whole loop batches under one horizon on
+    // both of its streams. The observable run must be identical
+    // either way — the consultation count is the only permitted
+    // difference.
     MProgram p = buildProgram(
         "u16 sink;"
         "void main() {"
@@ -130,19 +131,20 @@ TEST(Machine, AdaptiveHorizonBatchesBusyWaitPolling)
         "  while (i < 5000) { sink = stos_adc_data(); i = i + 1; }"
         "  stos_uart_put_u16(sink);"
         "}");
+    Machine leg(p, 1, ExecMode::Legacy);
     Machine pre(p, 1, ExecMode::Predecoded);
     Machine thr(p, 1, ExecMode::Threaded);
-    pre.boot();
-    thr.boot();
-    pre.runUntilCycle(10'000'000);
-    thr.runUntilCycle(10'000'000);
-    EXPECT_TRUE(pre.halted());
-    EXPECT_EQ(snapshotOf(pre), snapshotOf(thr));
-    // 5000 polls: the predecoded core consults the hub at least once
-    // per In, the threaded core only at horizon boundaries.
-    EXPECT_LT(thr.devices().hubConsultations(),
-              pre.devices().hubConsultations());
-    EXPECT_GT(pre.devices().hubConsultations(), 5000u);
+    for (Machine *m : {&leg, &pre, &thr}) {
+        m->boot();
+        m->runUntilCycle(10'000'000);
+    }
+    EXPECT_TRUE(leg.halted());
+    EXPECT_EQ(snapshotOf(leg), snapshotOf(pre));
+    EXPECT_EQ(snapshotOf(leg), snapshotOf(thr));
+    // 5000 polls: the legacy core consults the hub at least once per
+    // step, the decoded loop only at horizon boundaries.
+    EXPECT_GT(leg.devices().hubConsultations(), 5000u);
+    EXPECT_LT(pre.devices().hubConsultations(), 100u);
     EXPECT_LT(thr.devices().hubConsultations(), 100u);
 }
 

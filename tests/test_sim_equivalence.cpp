@@ -1,15 +1,16 @@
 /**
  * @file
- * Exhaustive equivalence suite for the three interpreter cores: the
- * legacy reference interpreter, the predecoded event-horizon core,
- * and the direct-threaded superinstruction core must be
- * indistinguishable on every observable counter — cycles, awake
- * cycles, instructions executed, failed FLID, UART log, LED writes,
- * trap log, and radio/ADC statistics — across every Figure-3 build
- * configuration and every multi-mote example network, under serial,
- * lookahead, and lookahead-parallel network scheduling. The TSan CI
- * job runs this binary to certify the window-parallel stepping (now
- * serviced by the persistent worker pool).
+ * Exhaustive equivalence suite for the three execution modes: the
+ * legacy reference interpreter and the decoded loop over both of its
+ * streams — unfused (Predecoded) and superinstruction-fused
+ * (Threaded) — must be indistinguishable on every observable
+ * counter — cycles, awake cycles, instructions executed, failed FLID,
+ * UART log, LED writes, trap log, and radio/ADC statistics — across
+ * every Figure-3 build configuration and every multi-mote example
+ * network, under serial, lookahead, and lookahead-parallel network
+ * scheduling. The TSan CI job runs this binary to certify the
+ * window-parallel stepping (now serviced by the persistent worker
+ * pool).
  */
 #include <gtest/gtest.h>
 
@@ -106,6 +107,38 @@ TEST(SimEquivalence, EveryFigure3CellMatchesOnASingleMote)
     }
 }
 
+TEST(SimEquivalence, FusedStreamMatchesUnfusedOnFigure3cC6Images)
+{
+    // Predecoded vs Threaded is the differential oracle for the fusion
+    // pass: one loop, two streams. It only says something if the
+    // fused stream actually holds superinstructions, so require them
+    // on every Figure-3(c) app's C6 image (inliner + cXprop, the
+    // column the paper reports duty cycles for).
+    const BuildReport &rep = matrix();
+    ASSERT_TRUE(rep.allOk());
+    size_t images = 0;
+    for (const auto &app : tinyos::paperApps()) {
+        if (app.platform != "Mica2")
+            continue;
+        const BuildRecord *r = rep.find(
+            app.name, configName(ConfigId::SafeFlidInlineCxprop));
+        ASSERT_NE(r, nullptr) << app.name;
+        auto decode =
+            std::make_shared<const DecodedProgram>(r->result->image);
+        EXPECT_GT(decode->fusedPairs(), 0u) << app.name;
+        Machine pre(decode, 1, ExecMode::Predecoded);
+        Machine thr(decode, 1, ExecMode::Threaded);
+        pre.boot();
+        thr.boot();
+        pre.runUntilCycle(kCycles);
+        thr.runUntilCycle(kCycles);
+        EXPECT_GT(pre.instructionsExecuted(), 0u) << app.name;
+        expectSame(statsOf(pre), statsOf(thr), app.name + " [fused]");
+        ++images;
+    }
+    EXPECT_GE(images, 8u) << "Figure 3(c) covers every Mica2 paper app";
+}
+
 /** Simulate `r` in its network context under the given scheduler and
  *  return the stats of every mote. */
 std::vector<MoteStats>
@@ -141,15 +174,16 @@ TEST(SimEquivalence, EveryMultiMoteNetworkMatchesAcrossSchedulers)
         auto legacy = runNetwork(
             r, rep, {ExecMode::Legacy, /*lookahead=*/false, 1},
             kCycles);
-        // Predecoded core, conservative-lookahead windows, serial.
+        // Unfused decoded stream, conservative-lookahead windows,
+        // serial.
         auto serial = runNetwork(
             r, rep, {ExecMode::Predecoded, /*lookahead=*/true, 1},
             kCycles);
-        // Predecoded core, windows stepped in parallel.
+        // Unfused decoded stream, windows stepped in parallel.
         auto parallel = runNetwork(
             r, rep, {ExecMode::Predecoded, /*lookahead=*/true, 4},
             kCycles);
-        // Threaded core under both schedulers.
+        // Fused stream (the production core) under both schedulers.
         auto thrSerial = runNetwork(
             r, rep, {ExecMode::Threaded, /*lookahead=*/true, 1},
             kCycles);
@@ -235,7 +269,7 @@ TEST(SimEquivalence, FailingProgramWedgesIdenticallyWithSameFlid)
  * over every integer width and the nasty operand corners — divisor
  * zero, INT_MIN / -1, shift counts at and past the operand width —
  * must produce identical UART streams from the IR interpreter, the
- * legacy core, and the predecoded core, in unsafe, safe, and
+ * legacy core, and the decoded loop, in unsafe, safe, and
  * safe+optimized builds. This pins the unified total-division
  * semantics (x/0 == 0, x%0 == 0, INT_MIN/-1 wraps) across all three
  * engines and the constant folder.

@@ -301,9 +301,9 @@ TEST(StageCacheCompanions, DecodedImageSharesTheCompiledFirmware)
 
 TEST(SimMatrix, LegacyModeMatchesPredecodedCellForCell)
 {
-    // The acceptance gate of the predecoded core at the driver level:
-    // the legacy reference interpreter and the predecoded
-    // event-horizon core must agree on every cell, uart log included.
+    // The driver-level gate of the decoded loop's unfused stream:
+    // the legacy reference interpreter and the decoded event-horizon
+    // loop must agree on every cell, uart log included.
     BuildReport builds = smallBuilds();
 
     SimParams legacyP;
