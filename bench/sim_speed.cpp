@@ -40,52 +40,31 @@ using Clock = std::chrono::steady_clock;
 // one contract, every gate in lockstep.
 using MoteStats = sim::MoteSnapshot;
 
+/** One run of a cell on `mode`'s core. Legacy keeps the
+ *  fixed-quantum lockstep scheduler it is the reference for; the
+ *  threaded core runs lookahead windows on `threads` threads. The
+ *  companion decodes come from the process-wide memo, exactly as
+ *  Experiment::simulateBuilds shares them. */
 std::vector<MoteStats>
-collect(sim::Network &net, uint64_t cycles, double &millis,
-        Clock::time_point t0)
+runCell(const std::shared_ptr<const sim::DecodedProgram> &image,
+        const std::vector<std::shared_ptr<const sim::DecodedProgram>>
+            &companions,
+        uint64_t cycles, sim::ExecMode mode, unsigned threads,
+        double &millis)
 {
+    auto t0 = Clock::now();
+    sim::Network net(
+        {mode, /*lookahead=*/mode != sim::ExecMode::Legacy, threads});
+    net.addMote(image, 1);
+    uint8_t id = 2;
+    for (const auto &c : companions)
+        net.addMote(c, id++);
     net.run(cycles);
     millis += millisSince(t0);
     std::vector<MoteStats> out;
     for (size_t i = 0; i < net.size(); ++i)
         out.push_back(sim::snapshotOf(net.mote(i)));
     return out;
-}
-
-/** One legacy-interpreter run (fixed-quantum lockstep network). */
-std::vector<MoteStats>
-runLegacyCell(const backend::MProgram &image,
-              const std::vector<const backend::MProgram *> &companions,
-              uint64_t cycles, double &millis)
-{
-    auto t0 = Clock::now();
-    sim::Network net({sim::ExecMode::Legacy, /*lookahead=*/false, 1});
-    net.addMote(image, 1);
-    uint8_t id = 2;
-    for (const backend::MProgram *c : companions)
-        net.addMote(*c, id++);
-    return collect(net, cycles, millis, t0);
-}
-
-/** One threaded-core run. The cell image's decode is charged to the
- *  serial run of the cell (paid once per program); the companion
- *  decodes come from the process-wide memo, exactly as
- *  Experiment::simulateBuilds shares them. */
-std::vector<MoteStats>
-runThreadedCell(
-    const std::shared_ptr<const sim::DecodedProgram> &image,
-    const std::vector<std::shared_ptr<const sim::DecodedProgram>>
-        &companions,
-    uint64_t cycles, unsigned threads, double &millis)
-{
-    auto t0 = Clock::now();
-    sim::Network net({sim::ExecMode::Threaded, /*lookahead=*/true,
-                      threads});
-    net.addMote(image, 1);
-    uint8_t id = 2;
-    for (const auto &c : companions)
-        net.addMote(c, id++);
-    return collect(net, cycles, millis, t0);
 }
 
 struct CellTiming {
@@ -149,14 +128,9 @@ main(int argc, char **argv)
     const unsigned parThreads = hw >= 4 ? 4 : (hw > 1 ? hw : 2);
 
     for (const BuildRecord &r : builds.records) {
-        std::vector<std::shared_ptr<const backend::MProgram>> owned;
-        std::vector<const backend::MProgram *> companions;
         std::vector<std::shared_ptr<const sim::DecodedProgram>> dcomps;
-        for (const auto &cname : r.companions) {
-            owned.push_back(cache.companionImage(cname, r.platform));
-            companions.push_back(owned.back().get());
+        for (const auto &cname : r.companions)
             dcomps.push_back(cache.companionDecode(cname, r.platform));
-        }
         uint64_t cycles = static_cast<uint64_t>(
             seconds *
             static_cast<double>(r.result->image.target.clockHz));
@@ -164,18 +138,19 @@ main(int argc, char **argv)
         CellTiming cell;
         cell.app = r.app;
         cell.config = r.config;
-        cell.motes = companions.size() + 1;
+        cell.motes = dcomps.size() + 1;
 
-        auto legacy = runLegacyCell(r.result->image, companions, cycles,
-                                    cell.legacyMs);
-        // The cell image decodes once, charged to the serial
-        // threaded timing (decode is paid once per program).
+        // The cell image decodes once, shared by both cores and
+        // charged to the serial threaded timing (decode is paid once
+        // per program).
         auto tDecode = Clock::now();
         auto dimage =
             std::make_shared<const sim::DecodedProgram>(r.result->image);
         cell.thrMs += millisSince(tDecode);
-        auto thr =
-            runThreadedCell(dimage, dcomps, cycles, 1, cell.thrMs);
+        auto legacy = runCell(dimage, dcomps, cycles,
+                              sim::ExecMode::Legacy, 1, cell.legacyMs);
+        auto thr = runCell(dimage, dcomps, cycles,
+                           sim::ExecMode::Threaded, 1, cell.thrMs);
         if (legacy != thr) {
             fprintf(stderr,
                     "MISMATCH (threaded vs legacy): %s / %s\n",
@@ -184,8 +159,9 @@ main(int argc, char **argv)
         }
         if (cell.motes > 1) {
             cell.parMs = 0;
-            auto par = runThreadedCell(dimage, dcomps, cycles,
-                                       parThreads, cell.parMs);
+            auto par = runCell(dimage, dcomps, cycles,
+                               sim::ExecMode::Threaded, parThreads,
+                               cell.parMs);
             if (legacy != par) {
                 fprintf(stderr,
                         "MISMATCH (lookahead-parallel vs legacy): "

@@ -14,6 +14,7 @@
 #include "analysis/liveness.h"
 #include "opt/inliner.h"
 #include "opt/passes.h"
+#include "support/arith.h"
 #include "support/util.h"
 
 namespace stos::backend {
@@ -88,9 +89,9 @@ localConstFold(Module &m, Function &f, GccReport &rep)
                     int64_t r = 0;
                     bool ok = true;
                     switch (in.bop) {
-                      case BinOp::Add: r = *a + *b; break;
-                      case BinOp::Sub: r = *a - *b; break;
-                      case BinOp::Mul: r = *a * *b; break;
+                      case BinOp::Add: r = arith::wrapAdd(*a, *b); break;
+                      case BinOp::Sub: r = arith::wrapSub(*a, *b); break;
+                      case BinOp::Mul: r = arith::wrapMul(*a, *b); break;
                       case BinOp::And: r = *a & *b; break;
                       case BinOp::Or: r = *a | *b; break;
                       case BinOp::Xor: r = *a ^ *b; break;

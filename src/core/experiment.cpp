@@ -174,8 +174,15 @@ Experiment::buildMatrix(StageCache &cache) const
         StageHits hits;
         try {
             PipelineConfig cfg = spec.make(app.platform);
-            // Shared immutably with the cache — no per-cell copy.
-            rec.result = cache.build(app, cfg, &hits);
+            // Memoized cells share the cache's immutable product (no
+            // per-cell copy). Cold cells compile from source and never
+            // touch the cache, so the reference stays independent of
+            // it.
+            rec.result =
+                opts_.memoize
+                    ? cache.build(app, cfg, &hits)
+                    : std::make_shared<const BuildResult>(
+                          buildSource(app.name, app.source, cfg));
             rec.ok = true;
         } catch (const std::exception &e) {
             rec.ok = false;
@@ -188,6 +195,12 @@ Experiment::buildMatrix(StageCache &cache) const
         rec.millis = millisSince(cellStart);
     });
     report.wallMillis = millisSince(start);
+    if (!opts_.memoize) {
+        // Every cold cell ran the whole pipeline by itself.
+        report.frontendParses = report.safetyRuns = report.optRuns =
+            report.backendRuns = nJobs;
+        return report;
+    }
 
     // Stage executions this run come from the cache's counter delta;
     // per-cell reuse comes from the chain flags (a request chain
@@ -219,51 +232,6 @@ Experiment::buildMatrix(StageCache &cache) const
         report.optReuses += r.optReused ? 1 : 0;
         report.backendReuses += r.backendReused ? 1 : 0;
     }
-    return report;
-}
-
-BuildReport
-Experiment::buildMatrixCold() const
-{
-    // Cold mode: every cell compiles from source, nothing is shared
-    // and nothing touches a store — the reference behaviour the
-    // equivalence gates compare against.
-    const size_t nApps = apps_.size();
-    const size_t nConfigs = configs_.size();
-    const size_t nJobs = nApps * nConfigs;
-
-    BuildReport report;
-    report.numApps = nApps;
-    report.numConfigs = nConfigs;
-    report.records.resize(nJobs);
-    report.jobsUsed = resolveJobs(opts_.jobs, nJobs);
-    if (nJobs == 0)
-        return report;
-
-    auto start = Clock::now();
-    runOnPool(report.jobsUsed, nJobs, [&](size_t k) {
-        size_t appIdx = k % nApps, cfgIdx = k / nApps;
-        const tinyos::AppInfo &app = apps_[appIdx];
-        const ConfigSpec &spec = configs_[cfgIdx];
-        BuildRecord &rec = cellRecord(report, app, spec, appIdx, cfgIdx);
-        auto cellStart = Clock::now();
-        try {
-            rec.result = std::make_shared<const BuildResult>(
-                buildSource(app.name, app.source,
-                            spec.make(app.platform)));
-            rec.ok = true;
-        } catch (const std::exception &e) {
-            rec.ok = false;
-            rec.error = e.what();
-        }
-        rec.millis = millisSince(cellStart);
-    });
-    report.wallMillis = millisSince(start);
-    // Every cell ran the whole pipeline by itself.
-    report.frontendParses = nJobs;
-    report.safetyRuns = nJobs;
-    report.optRuns = nJobs;
-    report.backendRuns = nJobs;
     return report;
 }
 
@@ -324,70 +292,39 @@ Experiment::simulateBuilds(const BuildReport &builds,
         try {
             if (!build.ok)
                 throw FatalError("build failed: " + build.error);
-            // Companion images: from the shared memo, or rebuilt per
-            // cell when memoization is off (the serial-equivalent
-            // behaviour the equivalence gate compares against). The
-            // companion names ride on the BuildRecord, so custom rows
-            // outside the app registry simulate fine (companion-less
-            // or with registry companions).
+            // The cell's own firmware decodes once per cell. Companion
+            // decodes come from (and persist in) the shared memo, or
+            // are decoded from a fresh build per cell when
+            // memoization is off (the serial-equivalent behaviour the
+            // equivalence gate compares against). The companion names
+            // ride on the BuildRecord, so custom rows outside the app
+            // registry simulate fine (companion-less or with registry
+            // companions).
+            auto image = std::make_shared<const sim::DecodedProgram>(
+                build.result->image);
+            std::vector<std::shared_ptr<const sim::DecodedProgram>>
+                companions;
             bool allReused = !build.companions.empty();
-            auto freshImage = [&](const std::string &cname) {
-                const auto &capp = tinyos::appByName(cname);
-                PipelineConfig base =
-                    configFor(ConfigId::Baseline, build.platform);
-                return std::make_shared<const backend::MProgram>(
-                    buildApp(capp, base).image);
-            };
-            if (opts_.mode != sim::ExecMode::Legacy) {
-                // The cell's own firmware decodes once per cell; the
-                // companions' decodes come from (and persist in) the
-                // cache, shared across every cell and run.
-                auto dimage =
-                    std::make_shared<const sim::DecodedProgram>(
-                        build.result->image);
-                std::vector<
-                    std::shared_ptr<const sim::DecodedProgram>>
-                    dcomps;
-                for (const auto &cname : build.companions) {
-                    if (opts_.memoize) {
-                        bool builtHere = false;
-                        dcomps.push_back(cache.companionDecode(
-                            cname, build.platform, &builtHere));
-                        if (builtHere)
-                            allReused = false;
-                    } else {
-                        dcomps.push_back(
-                            std::make_shared<
-                                const sim::DecodedProgram>(
-                                freshImage(cname)));
-                        allReused = false;
-                    }
+            for (const auto &cname : build.companions) {
+                bool builtHere = true;
+                if (opts_.memoize) {
+                    companions.push_back(cache.companionDecode(
+                        cname, build.platform, &builtHere));
+                } else {
+                    PipelineConfig base =
+                        configFor(ConfigId::Baseline, build.platform);
+                    companions.push_back(
+                        std::make_shared<const sim::DecodedProgram>(
+                            std::make_shared<const backend::MProgram>(
+                                buildApp(tinyos::appByName(cname), base)
+                                    .image)));
                 }
-                rec.companionsReused = allReused;
-                rec.outcome = simulateDecoded(dimage, dcomps,
-                                              opts_.seconds, cellNet);
-            } else {
-                std::vector<std::shared_ptr<const backend::MProgram>>
-                    owned;
-                std::vector<const backend::MProgram *> companions;
-                for (const auto &cname : build.companions) {
-                    if (opts_.memoize) {
-                        bool builtHere = false;
-                        owned.push_back(cache.companionImage(
-                            cname, build.platform, &builtHere));
-                        if (builtHere)
-                            allReused = false;
-                    } else {
-                        owned.push_back(freshImage(cname));
-                        allReused = false;
-                    }
-                    companions.push_back(owned.back().get());
-                }
-                rec.companionsReused = allReused;
-                rec.outcome =
-                    simulateInContext(build.result->image, companions,
-                                      opts_.seconds, cellNet);
+                if (builtHere)
+                    allReused = false;
             }
+            rec.companionsReused = allReused;
+            rec.outcome = simulateDecoded(image, companions,
+                                          opts_.seconds, cellNet);
             rec.ok = true;
         } catch (const std::exception &e) {
             rec.ok = false;
@@ -425,7 +362,7 @@ ExperimentReport
 Experiment::run(StageCache &cache) const
 {
     ExperimentReport rep;
-    rep.builds = opts_.memoize ? buildMatrix(cache) : buildMatrixCold();
+    rep.builds = buildMatrix(cache);
 
     if (opts_.simulate) {
         rep.sims = simulateBuilds(rep.builds, cache);

@@ -140,7 +140,9 @@ class Experiment {
      * The build phase alone, over the caller's cache: compile every
      * (app, config) cell through the cache's stage graph on a worker
      * pool. Per-stage run/reuse/disk-hit counters in the report are
-     * deltas covering this call only.
+     * deltas covering this call only. With options().memoize off,
+     * every cell compiles from source instead and the cache is never
+     * touched (the cold reference).
      */
     BuildReport buildMatrix(StageCache &cache) const;
 
@@ -178,9 +180,6 @@ class Experiment {
                                   std::string *why = nullptr);
 
   private:
-    /** Cold (memoization-off) build loop: every cell from source. */
-    BuildReport buildMatrixCold() const;
-
     ExperimentOptions opts_;
     std::vector<tinyos::AppInfo> apps_;
     std::vector<ConfigSpec> configs_;

@@ -5,7 +5,6 @@
 #include "core/pipeline.h"
 
 #include <cstdlib>
-#include <map>
 
 #include "frontend/frontend.h"
 #include "ir/verifier.h"
@@ -355,39 +354,6 @@ collectOutcome(sim::Network &net, uint64_t cycles)
 } // namespace
 
 SimOutcome
-simulateInContext(const backend::MProgram &image,
-                  const std::vector<const backend::MProgram *> &companions,
-                  double seconds, const sim::NetworkOptions &netOpts)
-{
-    if (netOpts.mode != sim::ExecMode::Legacy) {
-        // Decode each distinct image once, shared by every mote that
-        // runs it (Surge's context runs the same firmware twice).
-        std::map<const backend::MProgram *,
-                 std::shared_ptr<const sim::DecodedProgram>>
-            decodes;
-        auto decodeOf = [&](const backend::MProgram &img) {
-            auto &slot = decodes[&img];
-            if (!slot)
-                slot = std::make_shared<const sim::DecodedProgram>(img);
-            return slot;
-        };
-        auto dimage = decodeOf(image);
-        std::vector<std::shared_ptr<const sim::DecodedProgram>> dcomps;
-        for (const backend::MProgram *cimg : companions)
-            dcomps.push_back(decodeOf(*cimg));
-        return simulateDecoded(dimage, dcomps, seconds, netOpts);
-    }
-    uint64_t cycles = static_cast<uint64_t>(
-        seconds * static_cast<double>(image.target.clockHz));
-    sim::Network net(netOpts);
-    net.addMote(image, 1);
-    uint8_t nextId = 2;
-    for (const backend::MProgram *cimg : companions)
-        net.addMote(*cimg, nextId++);
-    return collectOutcome(net, cycles);
-}
-
-SimOutcome
 simulateDecoded(
     const std::shared_ptr<const sim::DecodedProgram> &image,
     const std::vector<std::shared_ptr<const sim::DecodedProgram>>
@@ -403,22 +369,6 @@ simulateDecoded(
     for (const auto &cimg : companions)
         net.addMote(cimg, nextId++);
     return collectOutcome(net, cycles);
-}
-
-double
-measureDutyCycle(const tinyos::AppInfo &app,
-                 const backend::MProgram &image, double seconds)
-{
-    PipelineConfig base = configFor(ConfigId::Baseline, app.platform);
-    std::vector<backend::MProgram> companions;
-    for (const auto &cname : app.companions) {
-        const auto &capp = tinyos::appByName(cname);
-        companions.push_back(buildApp(capp, base).image);
-    }
-    std::vector<const backend::MProgram *> ptrs;
-    for (const auto &cimg : companions)
-        ptrs.push_back(&cimg);
-    return simulateInContext(image, ptrs, seconds).dutyCycle;
 }
 
 } // namespace stos::core

@@ -226,36 +226,18 @@ struct SimOutcome {
 
 /**
  * Simulate `image` as mote 1 of a network whose remaining motes run
- * the given companion images, for `seconds` of simulated time. The
- * images are only read; concurrent runs may share them. `net` selects
- * the interpreter core and the network scheduling strategy.
- */
-SimOutcome
-simulateInContext(const backend::MProgram &image,
-                  const std::vector<const backend::MProgram *> &companions,
-                  double seconds, const sim::NetworkOptions &net = {});
-
-/**
- * As above, but on decoded images: each mote executes the shared
- * immutable decode instead of re-decoding its firmware — this is what
- * Experiment::simulateBuilds feeds with memoized companion decodes.
+ * the given companion images, for `seconds` of simulated time. Each
+ * mote executes the shared immutable decode it is handed, in the core
+ * `net.mode` selects (Legacy included); concurrent runs may share the
+ * decodes. `net` also selects the network scheduling strategy. This
+ * is the one simulation entry point: Experiment::simulateBuilds feeds
+ * it memoized companion decodes from the StageCache.
  */
 SimOutcome simulateDecoded(
     const std::shared_ptr<const sim::DecodedProgram> &image,
     const std::vector<std::shared_ptr<const sim::DecodedProgram>>
         &companions,
     double seconds, const sim::NetworkOptions &net = {});
-
-/**
- * Simulate the app in its sensor-network context (companion motes run
- * baseline builds) for `seconds` of simulated time; returns the duty
- * cycle of the mote under test. Convenience wrapper that rebuilds the
- * companions on every call — batch workloads should go through
- * Experiment::simulateBuilds, whose StageCache memoizes companion
- * images per (app, platform).
- */
-double measureDutyCycle(const tinyos::AppInfo &app,
-                        const backend::MProgram &image, double seconds);
 
 /** Default simulated duration (overridable via SAFE_TINYOS_SIM_SECONDS). */
 double simSeconds(double fallback);

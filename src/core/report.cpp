@@ -11,7 +11,9 @@
 #include <string_view>
 #include <variant>
 
-#include "ir/printer.h"
+#include "backend/serialize.h"
+#include "ir/serialize.h"
+#include "support/binio.h"
 #include "support/util.h"
 
 namespace stos::core {
@@ -541,51 +543,59 @@ ExperimentReport::emitJoinedJson(std::ostream &os) const
 // Equivalence
 //---------------------------------------------------------------------
 
+namespace {
+
+/** The artifact-store encoding: every field of a build, as bytes. */
+std::string
+encodingOf(const BuildResult &r)
+{
+    support::BinWriter w;
+    r.serialize(w);
+    return w.take();
+}
+
+/** One part's encoding, through its artifact-store writer. */
+template <typename T>
+std::string
+bytesOf(void (*write)(support::BinWriter &, const T &), const T &part)
+{
+    support::BinWriter w;
+    write(w, part);
+    return w.take();
+}
+
+} // namespace
+
 bool
 BuildDriver::resultsEquivalent(const BuildResult &a, const BuildResult &b,
                                std::string *why)
 {
-    auto fail = [&](const std::string &msg) {
-        if (why)
-            *why = msg;
+    // Same build means same bytes: BuildResult::serialize covers the
+    // final IR, the linked image, both reports and the sizes.
+    std::string ea = encodingOf(a), eb = encodingOf(b);
+    if (ea == eb)
+        return true;
+    if (!why)
         return false;
-    };
-    if (a.codeBytes != b.codeBytes)
-        return fail(strfmt("codeBytes %u != %u", a.codeBytes,
-                           b.codeBytes));
-    if (a.ramBytes != b.ramBytes)
-        return fail(strfmt("ramBytes %u != %u", a.ramBytes, b.ramBytes));
-    if (a.romDataBytes != b.romDataBytes)
-        return fail(strfmt("romDataBytes %u != %u", a.romDataBytes,
-                           b.romDataBytes));
-    if (a.survivingChecks != b.survivingChecks)
-        return fail(strfmt("survivingChecks %u != %u", a.survivingChecks,
-                           b.survivingChecks));
-    if (a.safetyReport.checksInserted != b.safetyReport.checksInserted)
-        return fail("safetyReport.checksInserted differs");
-    if (a.safetyReport.checksByKind != b.safetyReport.checksByKind)
-        return fail("safetyReport.checksByKind differs");
-    if (a.safetyReport.redundantChecksDropped !=
-        b.safetyReport.redundantChecksDropped)
-        return fail("safetyReport.redundantChecksDropped differs");
-    if (a.safetyReport.locksInserted != b.safetyReport.locksInserted)
-        return fail("safetyReport.locksInserted differs");
-    if (a.safetyReport.racyGlobals != b.safetyReport.racyGlobals)
-        return fail("safetyReport.racyGlobals differs");
-    if (a.cxpropReport.checksRemoved != b.cxpropReport.checksRemoved)
-        return fail("cxpropReport.checksRemoved differs");
-    if (a.cxpropReport.funcsInlined != b.cxpropReport.funcsInlined)
-        return fail("cxpropReport.funcsInlined differs");
-    if (a.cxpropReport.atomicsRemoved != b.cxpropReport.atomicsRemoved)
-        return fail("cxpropReport.atomicsRemoved differs");
-    if (a.cxpropReport.atomicSavesDowngraded !=
-        b.cxpropReport.atomicSavesDowngraded)
-        return fail("cxpropReport.atomicSavesDowngraded differs");
-    if (a.cxpropReport.rounds != b.cxpropReport.rounds)
-        return fail("cxpropReport.rounds differs");
-    if (ir::moduleToString(a.module) != ir::moduleToString(b.module))
-        return fail("final IR text differs");
-    return true;
+    // Name the first differing part, in encoding order.
+    if (bytesOf(ir::writeModule, a.module) !=
+        bytesOf(ir::writeModule, b.module))
+        *why = "final IR differs";
+    else if (bytesOf(backend::writeProgram, a.image) !=
+             bytesOf(backend::writeProgram, b.image))
+        *why = "linked image differs";
+    // The encoding ends with the four u32 sizes, so equal encodings
+    // short of those bytes mean only the sizes differ.
+    else if (ea.size() != eb.size() ||
+             ea.compare(0, ea.size() - 16, eb, 0, eb.size() - 16) != 0)
+        *why = "safety/cXprop reports differ";
+    else
+        *why = strfmt("sizes differ: code %u/%u, ram %u/%u, rom data "
+                      "%u/%u, surviving checks %u/%u",
+                      a.codeBytes, b.codeBytes, a.ramBytes, b.ramBytes,
+                      a.romDataBytes, b.romDataBytes, a.survivingChecks,
+                      b.survivingChecks);
+    return false;
 }
 
 bool

@@ -174,9 +174,10 @@ struct ExperimentReport {
 class BuildDriver {
   public:
     /**
-     * Deep equivalence of two build results (sizes, reports,
-     * surviving checks, final IR text). `why` gets the first
-     * difference when non-null.
+     * Byte equivalence of two build results: their
+     * BuildResult::serialize encodings (final IR, linked image, both
+     * reports, sizes) must be identical. `why` gets the first
+     * differing part when non-null.
      */
     static bool resultsEquivalent(const BuildResult &a,
                                   const BuildResult &b,

@@ -8,15 +8,13 @@
  * and share one safety run per app; Baseline/C7 share the unsafe
  * pass-through; repeated runs over one cache (equivalence gates)
  * rebuild nothing at all. Companion mote firmware is an ordinary
- * backend entry plus a memoized decode, replacing the bespoke
- * CompanionCache.
+ * backend entry, served as a memoized decode that owns the image.
  *
  * The first requester of a key executes the stage; concurrent
  * requesters block on that execution and share the immutable product.
  * Failures are cached and rethrown to every requester. All products
  * are immutable after construction, so sharing needs no further
- * locking. (The bespoke CompanionCache wrapper this replaced has been
- * removed; the companion entry points below are the one API.)
+ * locking.
  */
 #ifndef STOS_CORE_STAGECACHE_H
 #define STOS_CORE_STAGECACHE_H
@@ -114,17 +112,13 @@ class StageCache {
 
     //--- companion firmware ---------------------------------------
     /**
-     * Baseline firmware for registry app `name` on `platform` — an
-     * alias into the backend entry of (app, Baseline config), so a
-     * matrix that already built that cell shares it outright.
+     * The shared decode of registry app `name`'s Baseline firmware on
+     * `platform`. The firmware is an alias into the backend entry of
+     * (app, Baseline config), so a matrix that already built that
+     * cell shares it outright, and the decode owns that image.
      * `builtHere`, when non-null, reports whether this call
      * materialized the companion entry (vs being served from it).
      */
-    std::shared_ptr<const backend::MProgram>
-    companionImage(const std::string &name, const std::string &platform,
-                   bool *builtHere = nullptr);
-
-    /** The shared predecode of the same image (built alongside it). */
     std::shared_ptr<const sim::DecodedProgram>
     companionDecode(const std::string &name, const std::string &platform,
                     bool *builtHere = nullptr);
@@ -162,7 +156,6 @@ class StageCache {
     };
     struct CompanionEntry {
         std::once_flag once;
-        std::shared_ptr<const backend::MProgram> image;
         std::shared_ptr<const sim::DecodedProgram> decoded;
         std::exception_ptr error;
     };
@@ -172,9 +165,6 @@ class StageCache {
     template <typename T>
     std::shared_ptr<Entry<T>> entryFor(EntryMap<T> &map,
                                        const std::string &key);
-    std::shared_ptr<CompanionEntry>
-    companionEntry(const std::string &name, const std::string &platform,
-                   bool *builtHere);
 
     /** Try to materialize (stage, key) from the store; a decode
      *  failure on a hash-valid artifact is treated as a miss. */

@@ -54,9 +54,17 @@ runInterp(ir::Module &m)
     return o;
 }
 
-/** Execute a firmware image on one simulator core. */
+/** The simulator cores every image runs on, with report names. */
+const std::pair<sim::ExecMode, const char *> kCores[] = {
+    {sim::ExecMode::Legacy, "legacy"},
+    {sim::ExecMode::Predecoded, "predecoded"},
+    {sim::ExecMode::Threaded, "threaded"},
+};
+
+/** Execute a decoded firmware image on one simulator core. */
 RunOutcome
-runMachine(const backend::MProgram &img, sim::ExecMode mode)
+runMachine(const std::shared_ptr<const sim::DecodedProgram> &img,
+           sim::ExecMode mode)
 {
     sim::Machine mote(img, 1, mode);
     mote.boot();
@@ -181,15 +189,10 @@ checkProgramImpl(const std::string &src)
 
         backend::MProgram img =
             backend::compileToTarget(m, backend::TargetInfo::mica2());
-        for (sim::ExecMode em :
-             {sim::ExecMode::Legacy, sim::ExecMode::Predecoded,
-              sim::ExecMode::Threaded}) {
-            const char *emName =
-                em == sim::ExecMode::Legacy
-                    ? "legacy"
-                    : em == sim::ExecMode::Predecoded ? "predecoded"
-                                                      : "threaded";
-            RunOutcome mOut = runMachine(img, em);
+        // One decode per image; every core runs over it.
+        auto decode = std::make_shared<const sim::DecodedProgram>(img);
+        for (auto [em, emName] : kCores) {
+            RunOutcome mOut = runMachine(decode, em);
             if (!mOut.ok)
                 return {std::string("run/") + modeName(mode) + "/" +
                             emName,
@@ -217,7 +220,9 @@ struct TrapOutcome {
 };
 
 TrapOutcome
-runMachineExpectTrap(const backend::MProgram &img, sim::ExecMode mode)
+runMachineExpectTrap(
+    const std::shared_ptr<const sim::DecodedProgram> &img,
+    sim::ExecMode mode)
 {
     sim::Machine mote(img, 1, mode);
     mote.boot();
@@ -286,15 +291,9 @@ checkOobProgramImpl(const std::string &src)
 
         backend::MProgram img =
             backend::compileToTarget(m, backend::TargetInfo::mica2());
-        for (sim::ExecMode em :
-             {sim::ExecMode::Legacy, sim::ExecMode::Predecoded,
-              sim::ExecMode::Threaded}) {
-            const char *emName =
-                em == sim::ExecMode::Legacy
-                    ? "legacy"
-                    : em == sim::ExecMode::Predecoded ? "predecoded"
-                                                      : "threaded";
-            TrapOutcome t = runMachineExpectTrap(img, em);
+        auto decode = std::make_shared<const sim::DecodedProgram>(img);
+        for (auto [em, emName] : kCores) {
+            TrapOutcome t = runMachineExpectTrap(decode, em);
             if (!t.trapped)
                 return {std::string("oob/") + modeName(mode) + "/" +
                             emName,

@@ -12,6 +12,12 @@
  * and all Experiment cells running the same firmware (memoized
  * companions in particular), execute one decode.
  *
+ * It is the only image type a sim::Machine runs, in every ExecMode.
+ * The legacy reference reads just the image-level facts from it
+ * (initial memory, vector table, failure-stub index, data by name)
+ * and walks program() itself, re-deriving every per-instruction fact,
+ * so it stays an independent check on the flattened streams.
+ *
  * Two execution streams are produced per function, and one decoded
  * interpreter loop (sim/threaded.cpp) runs either:
  *

@@ -18,49 +18,27 @@ namespace stos::sim {
 using namespace stos::backend;
 
 Machine::Machine(const MProgram &prog, uint8_t nodeId, ExecMode mode)
-    : mode_(mode), prog_(prog), dev_(nodeId)
+    : Machine(std::make_shared<const DecodedProgram>(prog), nodeId, mode)
 {
-    if (mode_ != ExecMode::Legacy)
-        decoded_ = std::make_shared<const DecodedProgram>(prog_);
-    if (decoded_) {
-        failFnIdx_ = decoded_->failFnIdx();
-        vectors_ = decoded_->vectors();
-        numVectors_ = decoded_->numVectors();
-        mem_ = decoded_->memInit();
-    } else {
-        for (uint32_t i = 0; i < prog_.funcs.size(); ++i) {
-            funcByModuleId_[prog_.funcs[i].id] = i;
-            if (prog_.funcs[i].name == "__st_fail" ||
-                prog_.funcs[i].name == "__st_fail_msg") {
-                if (failFnIdx_ == ~0u ||
-                    prog_.funcs[i].name == "__st_fail")
-                    failFnIdx_ = i;
-            }
-        }
-        vectors_ = prog_.vectorTable.data();
-        numVectors_ = prog_.vectorTable.size();
-        mem_.assign(0x10000, 0);
-        for (const auto &d : prog_.data) {
-            dataByName_[d.name] = &d;
-            for (size_t i = 0; i < d.init.size() && i < d.size; ++i)
-                mem_[d.addr + i] = d.init[i];
-        }
-    }
-    sp_ = prog_.romDataBase;  // stack below the ROM window
-    computeRamSpan();
 }
 
 Machine::Machine(std::shared_ptr<const DecodedProgram> prog,
                  uint8_t nodeId, ExecMode mode)
-    : mode_(mode == ExecMode::Legacy ? ExecMode::Predecoded : mode),
-      decoded_(std::move(prog)), prog_(decoded_->program()),
+    : mode_(mode), decoded_(std::move(prog)), prog_(decoded_->program()),
       dev_(nodeId)
 {
+    // The image's static facts come from the decode in every mode.
+    // The legacy loop resolves call targets through its own map, so
+    // it never trusts the decode's per-instruction facts.
+    if (mode_ == ExecMode::Legacy) {
+        for (uint32_t i = 0; i < prog_.funcs.size(); ++i)
+            funcByModuleId_[prog_.funcs[i].id] = i;
+    }
     failFnIdx_ = decoded_->failFnIdx();
     vectors_ = decoded_->vectors();
     numVectors_ = decoded_->numVectors();
     mem_ = decoded_->memInit();
-    sp_ = prog_.romDataBase;
+    sp_ = prog_.romDataBase;  // stack below the ROM window
     computeRamSpan();
 }
 
@@ -115,20 +93,6 @@ Machine::recordTrap(uint32_t flid, uint32_t pc)
 }
 
 void
-Machine::resetMemoryImage()
-{
-    if (decoded_) {
-        mem_ = decoded_->memInit();
-        return;
-    }
-    std::fill(mem_.begin(), mem_.end(), 0);
-    for (const auto &d : prog_.data) {
-        for (size_t i = 0; i < d.init.size() && i < d.size; ++i)
-            mem_[d.addr + i] = d.init[i];
-    }
-}
-
-void
 Machine::startReboot()
 {
     // A reboot is a power cycle: volatile state (RAM, registers,
@@ -148,7 +112,7 @@ Machine::startReboot()
     retBuf_.clear();
     pendingIrqs_.clear();
     irqHead_ = 0;
-    resetMemoryImage();
+    mem_ = decoded_->memInit();
     sp_ = prog_.romDataBase;
     dev_.reset();
 }
@@ -168,17 +132,11 @@ Machine::applyFault(const FaultEvent &e)
         if (frames_.empty())
             break;
         Frame &fr = frames_.back();
-        // Both cores agree only on the *declared* register-file size
-        // (the decoded file is operand-padded past it), so the
-        // selector folds into that shared bound.
-        uint32_t bound = decoded_
-                             ? fr.df->argRegs
-                             : static_cast<uint32_t>(fr.regs.size());
-        if (bound == 0)
-            break;
-        uint32_t r = e.addr % bound;
-        if (r < fr.regs.size())
-            fr.regs[r] ^= 1ull << (e.bit & 15);
+        // Both loops agree only on the *declared* register-file size
+        // (the decoded file is operand-padded past it, the legacy one
+        // grows on demand), so the selector folds into that shared
+        // bound; every frame holds at least that many registers.
+        fr.regs[e.addr % fr.df->argRegs] ^= 1ull << (e.bit & 15);
         break;
       }
       case FaultKind::Crash:
@@ -191,12 +149,7 @@ Machine::applyFault(const FaultEvent &e)
         // payload value. Degrades to a no-op if the global is absent
         // or lives in ROM (flash is not attacker-writable here).
         const MProgram::DataItem *d =
-            decoded_ ? decoded_->findDataByName(e.targetGlobal)
-                     : nullptr;
-        if (!decoded_) {
-            auto it = dataByName_.find(e.targetGlobal);
-            d = it == dataByName_.end() ? nullptr : it->second;
-        }
+            decoded_->findDataByName(e.targetGlobal);
         if (!d || d->rom || d->addr >= prog_.romDataBase ||
             d->size == 0)
             break;
@@ -220,13 +173,8 @@ Machine::applyFault(const FaultEvent &e)
         parent.ip = 0;
         // fp and fromIrq survive the smash (the attacker rewrites the
         // return address, not the frame bookkeeping).
-        if (decoded_) {
-            parent.df = &decoded_->funcs().at(idx);
-            parent.regs.assign(parent.df->numRegs, 0);
-        } else {
-            parent.regs.assign(
-                std::max<uint32_t>(prog_.funcs[idx].numRegs, 1), 0);
-        }
+        parent.df = &decoded_->funcs().at(idx);
+        parent.regs.assign(frameRegs(*parent.df), 0);
         break;
       }
     }
@@ -259,24 +207,14 @@ Machine::enterFunction(uint32_t funcIdx, bool fromIrq)
     fr.block = 0;
     fr.ip = 0;
     fr.fp = 0;
-    fr.df = nullptr;
-    // How many incoming arguments may land in registers: the legacy
-    // core bounds this by its register-file size, so the decoded core
-    // must use the *declared* size, not the operand-padded one.
-    size_t argBound;
-    if (decoded_) {
-        fr.df = &decoded_->funcs().at(funcIdx);
-        fr.regs.assign(fr.df->numRegs, 0);
-        argBound = fr.df->argRegs;
-    } else {
-        const MFunc &f = prog_.funcs.at(funcIdx);
-        fr.regs.assign(std::max<uint32_t>(f.numRegs, 1), 0);
-        argBound = fr.regs.size();
-    }
+    fr.df = &decoded_->funcs().at(funcIdx);
+    fr.regs.assign(frameRegs(*fr.df), 0);
     fr.fromIrq = fromIrq;
     // Incoming arguments land in the first registers (the selector
-    // allocates parameter tuples first, in slot order).
-    for (size_t i = 0; i < argBuf_.size() && i < argBound; ++i)
+    // allocates parameter tuples first, in slot order). Only the
+    // *declared* register count takes them, in every mode — never the
+    // decoded loop's operand-padded file.
+    for (size_t i = 0; i < argBuf_.size() && i < fr.df->argRegs; ++i)
         fr.regs[i] = argBuf_[i];
     argBuf_.clear();
     if (frames_.size() > 64) {
@@ -368,12 +306,7 @@ Machine::dispatchIrqs()
 uint64_t
 Machine::readGlobal(const std::string &name, uint32_t size) const
 {
-    const MProgram::DataItem *d =
-        decoded_ ? decoded_->findDataByName(name) : nullptr;
-    if (!decoded_) {
-        auto it = dataByName_.find(name);
-        d = it == dataByName_.end() ? nullptr : it->second;
-    }
+    const MProgram::DataItem *d = decoded_->findDataByName(name);
     if (!d)
         return 0;
     return loadMem(d->addr, static_cast<uint8_t>(size * 8));
@@ -382,9 +315,7 @@ Machine::readGlobal(const std::string &name, uint32_t size) const
 bool
 Machine::hasGlobal(const std::string &name) const
 {
-    if (decoded_)
-        return decoded_->findDataByName(name) != nullptr;
-    return dataByName_.count(name) > 0;
+    return decoded_->findDataByName(name) != nullptr;
 }
 
 void
@@ -851,8 +782,7 @@ Network::deliverFrom(size_t senderIdx, const Packet &p, uint64_t at)
 Machine &
 Network::addMote(const MProgram &prog, uint8_t nodeId)
 {
-    return attachMote(
-        std::make_unique<Machine>(prog, nodeId, opts_.mode));
+    return addMote(std::make_shared<const DecodedProgram>(prog), nodeId);
 }
 
 Machine &
@@ -1007,8 +937,6 @@ Network::runParallel(uint64_t start, uint64_t end, unsigned threads)
     // pool orders each mote's windows, so no mote is ever touched by
     // two threads at once and every window boundary is a full
     // synchronization point.
-    core::WorkerPool &pool =
-        opts_.pool ? *opts_.pool : core::sharedPool();
     outboxes_.assign(motes_.size(), {});
     bufferSends_ = true;
     for (uint64_t t = start; t < end;) {
@@ -1017,7 +945,7 @@ Network::runParallel(uint64_t start, uint64_t end, unsigned threads)
             break;
         }
         uint64_t te = windowEnd(t, end);
-        pool.run(motes_.size(), threads, [&](size_t i) {
+        core::sharedPool().run(motes_.size(), threads, [&](size_t i) {
             motes_[i]->runUntilCycle(te);
         });
         // Flush the buffered radio sends in sender-index order (the

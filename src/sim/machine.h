@@ -6,17 +6,21 @@
  * time across SLEEP, and accounts the duty cycle (awake / total
  * cycles) that the paper's Figure 3(c) reports.
  *
- * Two interpreter loops share one device model, one fault/recovery
+ * Every Machine executes a sim::DecodedProgram: one immutable decode
+ * per image, shareable across motes, threads and cells. The decode
+ * supplies the image's static facts (initial memory, vector table,
+ * failure-stub index, data layout) to every mode. Two interpreter
+ * loops run over it and share one device model, one fault/recovery
  * preamble (Machine::serviceBoundary) and one observable behaviour:
  *
- *  - ExecMode::Legacy is the reference interpreter: it re-derives
- *    static facts (cycle cost, width masks, call targets, data
- *    addresses) on every executed instruction and polls the device
- *    hub between every step. It is the independent cycle-accounting
- *    reference.
- *  - The decoded loop (sim/threaded.cpp) executes a
- *    sim::DecodedProgram, built once per image and shareable across
- *    motes and threads, with computed-goto dispatch and event
+ *  - ExecMode::Legacy is the reference interpreter: it walks the
+ *    original MProgram blocks, re-derives every per-instruction fact
+ *    (cycle cost, width masks, call targets through its own id map,
+ *    data addresses) on every executed instruction and polls the
+ *    device hub between every step. It is the independent
+ *    cycle-accounting reference.
+ *  - The decoded loop (sim/threaded.cpp) executes the decode's
+ *    flattened streams with computed-goto dispatch and event
  *    horizons: the device hub is consulted once per horizon —
  *    min(target, next device event, next fault) — and re-aimed only
  *    when the hub's schedule version actually moved.
@@ -44,10 +48,6 @@
 #include "sim/devices.h"
 #include "sim/fault.h"
 
-namespace stos::core {
-class WorkerPool;
-}
-
 namespace stos::sim {
 
 /** Which interpreter loop and instruction stream run the firmware. */
@@ -70,10 +70,11 @@ enum class ExecMode {
 
 class Machine {
   public:
+    /** Decode `prog` for this mote alone (the caller keeps `prog`
+     *  alive). */
     explicit Machine(const backend::MProgram &prog, uint8_t nodeId = 1,
                      ExecMode mode = ExecMode::Threaded);
-    /** Execute a shared immutable decode (no per-mote decode); a
-     *  Legacy request runs as Predecoded. */
+    /** Execute a shared immutable decode in any mode. */
     explicit Machine(std::shared_ptr<const DecodedProgram> prog,
                      uint8_t nodeId = 1,
                      ExecMode mode = ExecMode::Threaded);
@@ -160,7 +161,7 @@ class Machine {
         uint32_t funcIdx = 0;
         uint32_t block = 0;            ///< legacy core: block index
         size_t ip = 0;                 ///< legacy: in-block; decoded: flat
-        const DFunc *df = nullptr;     ///< decoded loop
+        const DFunc *df = nullptr;     ///< the function's decode
         uint32_t fp = 0;
         std::vector<uint64_t> regs;
         bool fromIrq = false;
@@ -184,9 +185,19 @@ class Machine {
     void enterFunction(uint32_t funcIdx, bool fromIrq);
     /** Pop the active frame, parking its storage for reuse. */
     void popFrame();
+    /**
+     * Register-file size of a new frame: the legacy reference starts
+     * from the declared count and grows the file on demand; the
+     * decoded loop never bounds-checks, so it takes the decode's
+     * operand-padded size.
+     */
+    uint32_t
+    frameRegs(const DFunc &df) const
+    {
+        return mode_ == ExecMode::Legacy ? df.argRegs : df.numRegs;
+    }
     void recordTrap(uint32_t flid, uint32_t pc);
     void startReboot();
-    void resetMemoryImage();
     void computeRamSpan();
     /** Apply every scheduled fault due at the current cycle. */
     void applyFaultsDue();
@@ -204,12 +215,10 @@ class Machine {
     /** The stream the decoded loop executes, fixed by mode_. */
     std::vector<DInstr> DFunc::*const stream_ =
         mode_ == ExecMode::Predecoded ? &DFunc::instrs : &DFunc::fused;
-    std::shared_ptr<const DecodedProgram> decoded_;  ///< null in legacy
-    const backend::MProgram &prog_;
+    std::shared_ptr<const DecodedProgram> decoded_;  ///< never null
+    const backend::MProgram &prog_;                  ///< decoded_'s image
     DeviceHub dev_;
-    std::map<uint32_t, uint32_t> funcByModuleId_;         ///< legacy only
-    std::map<std::string, const backend::MProgram::DataItem *>
-        dataByName_;                                      ///< legacy only
+    std::map<uint32_t, uint32_t> funcByModuleId_;    ///< legacy only
     const int *vectors_ = nullptr;  ///< cached interrupt vector table
     size_t numVectors_ = 0;
 
@@ -265,7 +274,7 @@ class Machine {
 
 /** Scheduling options for a mote network. */
 struct NetworkOptions {
-    /** Interpreter core for motes added via the MProgram overload. */
+    /** Interpreter core every mote of the network runs. */
     ExecMode mode = ExecMode::Threaded;
     /**
      * Conservative-lookahead windows: sync every
@@ -277,19 +286,12 @@ struct NetworkOptions {
     bool lookahead = true;
     /**
      * Step the motes of each window in parallel on this many threads
-     * (1 = serial). Requires lookahead; radio sends are buffered
+     * (1 = serial), borrowed from the process-wide core::sharedPool().
+     * Requires lookahead; radio sends are buffered
      * per-sender during a window and flushed at the window barrier in
      * sender order, which is exactly the serial delivery order.
      */
     unsigned threads = 1;
-    /**
-     * Persistent worker pool the parallel scheduler dispatches each
-     * window on (null = the process-wide core::sharedPool()). Window
-     * stepping borrows pool workers instead of spawning threads per
-     * run, so thousands of simulated matrix cells reuse one set of
-     * threads.
-     */
-    core::WorkerPool *pool = nullptr;
     /**
      * Fault campaign for this run: state faults are scheduled per
      * mote at first run() (node 1 only unless faultCompanions), radio
@@ -323,7 +325,7 @@ class Network {
     Network() = default;
     explicit Network(NetworkOptions opts) : opts_(opts) {}
 
-    /** Add a mote running `prog` with the given node id. */
+    /** Add a mote running its own decode of `prog`. */
     Machine &addMote(const backend::MProgram &prog, uint8_t nodeId);
     /** Add a mote executing a shared decoded image. */
     Machine &addMote(std::shared_ptr<const DecodedProgram> prog,

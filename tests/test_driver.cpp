@@ -132,6 +132,29 @@ TEST(BuildMatrix, FailuresAreIsolated)
     EXPECT_FALSE(rep.allOk());
 }
 
+TEST(BuildMatrix, OneChangedImageInstructionIsNotTheSameBuild)
+{
+    // "Same build" means same bytes: a copy that differs only in one
+    // linked instruction — identical IR, reports and sizes — must
+    // compare unequal, and the diagnostic must name the image.
+    const auto &app = appByName("BlinkTask");
+    BuildResult a = buildApp(app, configFor(ConfigId::Baseline, "Mica2"));
+    BuildResult b = a;
+    std::string why;
+    EXPECT_TRUE(BuildDriver::resultsEquivalent(a, b, &why)) << why;
+
+    backend::MInstr *first = nullptr;
+    for (auto &f : b.image.funcs)
+        for (auto &bb : f.blocks)
+            for (auto &in : bb.instrs)
+                if (!first)
+                    first = &in;
+    ASSERT_NE(first, nullptr);
+    first->imm += 1;
+    EXPECT_FALSE(BuildDriver::resultsEquivalent(a, b, &why));
+    EXPECT_EQ(why, "linked image differs");
+}
+
 TEST(RunOnPool, WorkerExceptionsRethrowOnTheCallerNotTerminate)
 {
     // Regression: an exception escaping fn on a worker thread used to

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "core/pipeline.h"
 #include "safety/flid.h"
 #include "safety/runtime.h"
@@ -218,10 +219,13 @@ TEST(Pipeline, RuntimeFootprintCollapsesWhenTrimmed)
 
 TEST(Pipeline, DutyCycleIsSane)
 {
-    const auto &app = appByName("BlinkTask");
-    BuildResult base =
-        buildApp(app, configFor(ConfigId::Baseline, app.platform));
-    double duty = measureDutyCycle(app, base.image, 0.5);
+    Experiment exp;
+    exp.options().seconds = 0.5;
+    exp.addApp(appByName("BlinkTask"));
+    exp.addConfig(ConfigId::Baseline);
+    ExperimentReport rep = exp.run();
+    ASSERT_TRUE(rep.allOk());
+    double duty = rep.sims.records[0].outcome.dutyCycle;
     EXPECT_GT(duty, 0.0);
     EXPECT_LT(duty, 0.5) << "Blink should sleep most of the time";
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/backend.h"
+#include "core/experiment.h"
 #include "core/pipeline.h"
 #include "frontend/frontend.h"
 #include "sim/machine.h"
@@ -123,7 +124,8 @@ TEST(Machine, AdaptiveHorizonBatchesBusyWaitPolling)
     // version moved, so the whole loop batches under one horizon on
     // both of its streams. The observable run must be identical
     // either way — the consultation count is the only permitted
-    // difference.
+    // difference. A Legacy machine over a shared decode runs the
+    // legacy loop too: the decode is the image type, not the core.
     MProgram p = buildProgram(
         "u16 sink;"
         "void main() {"
@@ -134,16 +136,21 @@ TEST(Machine, AdaptiveHorizonBatchesBusyWaitPolling)
     Machine leg(p, 1, ExecMode::Legacy);
     Machine pre(p, 1, ExecMode::Predecoded);
     Machine thr(p, 1, ExecMode::Threaded);
-    for (Machine *m : {&leg, &pre, &thr}) {
+    Machine sharedLeg(std::make_shared<const DecodedProgram>(p), 1,
+                      ExecMode::Legacy);
+    EXPECT_EQ(sharedLeg.mode(), ExecMode::Legacy);
+    for (Machine *m : {&leg, &pre, &thr, &sharedLeg}) {
         m->boot();
         m->runUntilCycle(10'000'000);
     }
     EXPECT_TRUE(leg.halted());
     EXPECT_EQ(snapshotOf(leg), snapshotOf(pre));
     EXPECT_EQ(snapshotOf(leg), snapshotOf(thr));
+    EXPECT_EQ(snapshotOf(leg), snapshotOf(sharedLeg));
     // 5000 polls: the legacy core consults the hub at least once per
     // step, the decoded loop only at horizon boundaries.
     EXPECT_GT(leg.devices().hubConsultations(), 5000u);
+    EXPECT_GT(sharedLeg.devices().hubConsultations(), 5000u);
     EXPECT_LT(pre.devices().hubConsultations(), 100u);
     EXPECT_LT(thr.devices().hubConsultations(), 100u);
 }
@@ -266,13 +273,14 @@ TEST(Pipeline2, DutyCycleOrderingAcrossConfigs)
 {
     // Safe-unoptimized must not be faster than safe-optimized.
     using namespace stos::core;
-    const auto &app = tinyos::appByName("Oscilloscope");
-    BuildResult safePlain =
-        buildApp(app, configFor(ConfigId::SafeFlid, app.platform));
-    BuildResult safeOpt = buildApp(
-        app, configFor(ConfigId::SafeFlidInlineCxprop, app.platform));
-    double dPlain = measureDutyCycle(app, safePlain.image, 0.5);
-    double dOpt = measureDutyCycle(app, safeOpt.image, 0.5);
+    Experiment exp;
+    exp.options().seconds = 0.5;
+    exp.addApp(tinyos::appByName("Oscilloscope"));
+    exp.addConfigs({ConfigId::SafeFlid, ConfigId::SafeFlidInlineCxprop});
+    ExperimentReport rep = exp.run();
+    ASSERT_TRUE(rep.allOk());
+    double dPlain = rep.sims.records[0].outcome.dutyCycle;
+    double dOpt = rep.sims.records[1].outcome.dutyCycle;
     EXPECT_LE(dOpt, dPlain * 1.05);
 }
 

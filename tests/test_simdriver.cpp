@@ -67,13 +67,13 @@ TEST(StageCacheCompanions, BuildsEachKeyExactlyOnceUnderContention)
 {
     StageCache cache;
     constexpr unsigned kThreads = 8;
-    std::vector<std::shared_ptr<const backend::MProgram>> images(
+    std::vector<std::shared_ptr<const sim::DecodedProgram>> images(
         kThreads);
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < kThreads; ++t) {
         pool.emplace_back([&cache, &images, t] {
             images[t] =
-                cache.companionImage("CntToLedsAndRfm", "Mica2");
+                cache.companionDecode("CntToLedsAndRfm", "Mica2");
         });
     }
     for (auto &t : pool)
@@ -82,19 +82,19 @@ TEST(StageCacheCompanions, BuildsEachKeyExactlyOnceUnderContention)
     EXPECT_EQ(cache.companionHits(), kThreads - 1);
     for (unsigned t = 1; t < kThreads; ++t)
         EXPECT_EQ(images[t].get(), images[0].get())
-            << "all callers must share one immutable image";
+            << "all callers must share one immutable decode";
 }
 
 TEST(StageCacheCompanions, DistinctPlatformsAreDistinctEntries)
 {
     StageCache cache;
-    auto mica = cache.companionImage("BlinkTask", "Mica2");
-    auto telos = cache.companionImage("BlinkTask", "TelosB");
+    auto mica = cache.companionDecode("BlinkTask", "Mica2");
+    auto telos = cache.companionDecode("BlinkTask", "TelosB");
     EXPECT_EQ(cache.companionBuilds(), 2u);
     EXPECT_NE(mica.get(), telos.get());
     // Second lookups hit the memo.
-    cache.companionImage("BlinkTask", "Mica2");
-    cache.companionImage("BlinkTask", "TelosB");
+    cache.companionDecode("BlinkTask", "Mica2");
+    cache.companionDecode("BlinkTask", "TelosB");
     EXPECT_EQ(cache.companionBuilds(), 2u);
     EXPECT_EQ(cache.companionHits(), 2u);
 }
@@ -102,9 +102,9 @@ TEST(StageCacheCompanions, DistinctPlatformsAreDistinctEntries)
 TEST(StageCacheCompanions, FailuresAreCachedAndRethrown)
 {
     StageCache cache;
-    EXPECT_THROW(cache.companionImage("NoSuchApp", "Mica2"),
+    EXPECT_THROW(cache.companionDecode("NoSuchApp", "Mica2"),
                  std::exception);
-    EXPECT_THROW(cache.companionImage("NoSuchApp", "Mica2"),
+    EXPECT_THROW(cache.companionDecode("NoSuchApp", "Mica2"),
                  std::exception);
     EXPECT_EQ(cache.companionBuilds(), 1u)
         << "the failed build must be memoized";
@@ -288,10 +288,11 @@ TEST(StageCacheCompanions, PersistAcrossSimulationRuns)
 TEST(StageCacheCompanions, DecodedImageSharesTheCompiledFirmware)
 {
     StageCache cache;
-    auto image = cache.companionImage("CntToLedsAndRfm", "Mica2");
+    auto cell = cache.build(appByName("CntToLedsAndRfm"),
+                            configFor(ConfigId::Baseline, "Mica2"));
     auto decoded = cache.companionDecode("CntToLedsAndRfm", "Mica2");
     ASSERT_NE(decoded, nullptr);
-    EXPECT_EQ(&decoded->program(), image.get())
+    EXPECT_EQ(&decoded->program(), &cell->image)
         << "the decode must wrap the cached image, not a copy";
     EXPECT_EQ(cache.companionBuilds(), 1u);
     // Decode requests hit the same memo entry.

@@ -168,16 +168,15 @@ TEST(StageCache, CompanionAliasesTheMatrixBaselineCell)
     size_t backendRuns = cache.stats().backend.executed;
 
     bool builtHere = false;
-    auto image =
-        cache.companionImage(app.name, app.platform, &builtHere);
+    auto decoded =
+        cache.companionDecode(app.name, app.platform, &builtHere);
     EXPECT_TRUE(builtHere);
     EXPECT_EQ(cache.stats().backend.executed, backendRuns)
         << "the companion must reuse the matrix's Baseline build";
-    EXPECT_EQ(image.get(), &cell->image)
-        << "the companion image must alias the cached BuildResult";
+    EXPECT_EQ(&decoded->program(), &cell->image)
+        << "the companion decode must alias the cached BuildResult";
 
-    auto decoded = cache.companionDecode(app.name, app.platform);
-    EXPECT_EQ(&decoded->program(), image.get());
+    EXPECT_EQ(cache.companionDecode(app.name, app.platform), decoded);
     EXPECT_EQ(cache.companionBuilds(), 1u);
     EXPECT_GE(cache.companionHits(), 1u);
 }
