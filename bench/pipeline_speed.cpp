@@ -242,23 +242,6 @@ runMatrixComparison(unsigned jobs)
     return identical ? 0 : 1;
 }
 
-/** Cell-for-cell build equivalence of two Figure-3 runs. */
-bool
-buildsEquivalent(const BuildReport &a, const BuildReport &b,
-                 std::string *why)
-{
-    if (a.records.size() != b.records.size()) {
-        *why = "matrix shapes differ";
-        return false;
-    }
-    for (size_t i = 0; i < a.records.size(); ++i) {
-        if (!BuildDriver::recordsEquivalent(a.records[i], b.records[i],
-                                            why))
-            return false;
-    }
-    return true;
-}
-
 /**
  * The artifact-store gate: cold run warms DIR, warm run must execute
  * zero stages with equivalent results, and a deliberately corrupted
@@ -308,7 +291,7 @@ runCacheGate(unsigned jobs, const std::string &dir)
         return 1;
     }
     std::string why;
-    if (!buildsEquivalent(cold.builds, warm.builds, &why)) {
+    if (!Experiment::reportsEquivalent(cold, warm, &why)) {
         fprintf(stderr, "FAIL: warm run differs from cold: %s\n",
                 why.c_str());
         return 1;
@@ -357,7 +340,7 @@ runCacheGate(unsigned jobs, const std::string &dir)
                 fixed.builds.optRuns, fixed.builds.backendRuns);
         return 1;
     }
-    if (!buildsEquivalent(cold.builds, fixed.builds, &why)) {
+    if (!Experiment::reportsEquivalent(cold, fixed, &why)) {
         fprintf(stderr,
                 "FAIL: post-corruption rebuild differs from cold: "
                 "%s\n",

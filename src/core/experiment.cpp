@@ -304,12 +304,10 @@ Experiment::simulateBuilds(const BuildReport &builds,
                 build.result->image);
             std::vector<std::shared_ptr<const sim::DecodedProgram>>
                 companions;
-            bool allReused = !build.companions.empty();
             for (const auto &cname : build.companions) {
-                bool builtHere = true;
                 if (opts_.memoize) {
-                    companions.push_back(cache.companionDecode(
-                        cname, build.platform, &builtHere));
+                    companions.push_back(
+                        cache.companionDecode(cname, build.platform));
                 } else {
                     PipelineConfig base =
                         configFor(ConfigId::Baseline, build.platform);
@@ -319,10 +317,7 @@ Experiment::simulateBuilds(const BuildReport &builds,
                                 buildApp(tinyos::appByName(cname), base)
                                     .image)));
                 }
-                if (builtHere)
-                    allReused = false;
             }
-            rec.companionsReused = allReused;
             rec.outcome = simulateDecoded(image, companions,
                                           opts_.seconds, cellNet);
             rec.ok = true;

@@ -187,7 +187,6 @@ const Column kColumns[] = {
     // The joined JSON names a failed cell's error in place of its
     // outcome.
     {"error", kText, kJoinJson, kSimFailed, GET(v.sim->error)},
-    {"companions_reused", kFlag, kSim, kAlways, GET(v.sim->companionsReused)},
     {"millis", kMillis, kBuild | kSim, kAlways, CELL(millis)},
     {"build_millis", kMillis, kJoin, kAlways, GET(v.build->millis)},
     {"sim_millis", kMillis, kJoin, kAlways, GET(v.sim->millis)},

@@ -108,7 +108,6 @@ struct SimRecord {
     bool ok = false;
     std::string error;        ///< build or simulation failure
     SimOutcome outcome;       ///< valid only when ok
-    bool companionsReused = false; ///< all companions came from the memo
     double millis = 0.0;      ///< wall time of this cell's simulation
 };
 

@@ -1,26 +1,28 @@
 /**
  * @file
- * StageCache implementation. Every stage follows the same pattern:
- * resolve the entry under the map mutex, then execute the stage body
- * at most once via the entry's once_flag (concurrent requesters block
- * on the first execution and share the product; failures are cached
- * and rethrown). A stage body requests its upstream product through
- * the cache, so chains nest strictly downstream -> upstream and can
- * never deadlock. Counters are relaxed atomics — they are statistics,
- * not synchronization.
+ * StageCache implementation. Every product goes through one memo
+ * path. `resolve` finds the entry under the map mutex and runs its
+ * maker at most once via the entry's once_flag: concurrent requesters
+ * block on the first run and share the product, and a failure is
+ * captured and rethrown to every requester. `memo` is the stage layer
+ * on top of it. Its maker first consults the backing store (a disk
+ * hit materializes the product without running the stage body),
+ * else runs the body and writes the fresh product back. It then
+ * counts the request (executed, diskHits or reused) and marks
+ * StageHits: a memo or disk hit at stage s marks s and every upstream
+ * stage, and an execution marks s false, leaving upstream to the
+ * nested request the body made. Companion decodes use `resolve`
+ * alone: no store, no stage counters, no StageHits.
  *
- * With a backing ArtifactStore attached, the once-body first consults
- * the store: a disk hit materializes the product without running the
- * stage (counted as a diskHit, never as executed), and a freshly
- * executed product is written back. Because a request chain stops at
- * its first hit, a fully warmed store serves a build from the single
+ * A stage body requests its upstream product through the cache, so
+ * chains nest strictly downstream -> upstream and can never
+ * deadlock, and a fully warmed store serves a build from the single
  * backend artifact — the upstream stages are never even requested.
- * Failures are never persisted, so a failing stage re-runs (and
- * rethrows) per process.
+ * Counters are relaxed atomics — they are statistics, not
+ * synchronization. Failures are never persisted, so a failing stage
+ * re-runs (and rethrows) per process.
  */
 #include "core/stagecache.h"
-
-#include <functional>
 
 #include "support/binio.h"
 
@@ -116,190 +118,128 @@ StageCache::writeBack(Stage stage, const std::string &key,
 }
 
 //---------------------------------------------------------------------
-// Entries
+// The memo path
 //---------------------------------------------------------------------
 
-template <typename T>
-std::shared_ptr<StageCache::Entry<T>>
-StageCache::entryFor(EntryMap<T> &map, const std::string &key)
+namespace {
+
+/** The field of a StageHits or StageCacheStats for stage index `s`. */
+template <typename Rec>
+auto &
+atStage(Rec &rec, size_t s)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto &slot = map[key];
-    if (!slot)
-        slot = std::make_shared<Entry<T>>();
-    return slot;
+    decltype(&rec.frontend) fields[] = {&rec.frontend, &rec.safety,
+                                        &rec.opt, &rec.backend};
+    return *fields[s];
 }
+
+} // namespace
+
+template <typename T, typename K, typename Make>
+std::shared_ptr<StageCache::Entry<T>>
+StageCache::resolve(EntryMap<T, K> &map, const K &key, bool *ran,
+                    Make &&make)
+{
+    std::shared_ptr<Entry<T>> entry;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto &slot = map[key];
+        if (!slot)
+            slot = std::make_shared<Entry<T>>();
+        entry = slot;
+    }
+    std::call_once(entry->once, [&] {
+        *ran = true;
+        try {
+            entry->value = make();
+        } catch (...) {
+            entry->error = std::current_exception();
+        }
+    });
+    return entry;
+}
+
+template <typename T, typename Body>
+std::shared_ptr<const T>
+StageCache::memo(Stage stage, EntryMap<T> &map, const std::string &key,
+                 StageHits *hits, Body &&body)
+{
+    bool ran = false, disk = false;
+    auto entry = resolve(map, key, &ran, [&] {
+        std::shared_ptr<const T> product = tryLoad<T>(stage, key);
+        if (product) {
+            disk = true;
+        } else {
+            product = std::make_shared<const T>(body());
+            writeBack(stage, key, *product);
+        }
+        return product;
+    });
+    const size_t at = static_cast<size_t>(stage);
+    StageCounters &n = counters_[at];
+    (disk ? n.diskHits : ran ? n.executed : n.reused)
+        .fetch_add(1, std::memory_order_relaxed);
+    // A hit marks this stage and everything upstream of it; an
+    // execution marks this stage alone (its body's nested request
+    // already marked upstream).
+    const bool hit = !ran || disk;
+    for (size_t s = hit ? 0 : at; hits && s <= at; ++s)
+        atStage(*hits, s) = hit;
+    return entry->get();
+}
+
+//---------------------------------------------------------------------
+// Stages
+//---------------------------------------------------------------------
 
 std::shared_ptr<const FrontendProduct>
 StageCache::frontend(const tinyos::AppInfo &app, StageHits *hits)
 {
-    const std::string key = appKey(app);
-    auto entry = entryFor(frontends_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<FrontendProduct>(Stage::Frontend,
-                                                     key))) {
-            disk = true;
-            feDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            entry->value = std::make_shared<const FrontendProduct>(
-                runFrontend(app.name, app.source));
-            writeBack(Stage::Frontend, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        feExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(Stage::Frontend, frontends_, appKey(app), hits, [&] {
+        return runFrontend(app.name, app.source);
     });
-    if (!ran)
-        feReuse_.fetch_add(1, std::memory_order_relaxed);
-    if (hits)
-        hits->frontend = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 std::shared_ptr<const SafetyProduct>
 StageCache::safety(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                    StageHits *hits)
 {
-    const std::string key = safetyKey(app, cfg);
-    auto entry = entryFor(safeties_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<SafetyProduct>(Stage::Safety, key))) {
-            disk = true;
-            saDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            auto fe = frontend(app, hits);
-            if (!cfg.safe) {
-                // Unsafe pass-through: alias the frontend's module
-                // rather than storing a clone — the product pins the
-                // FrontendProduct alive but adds no module bytes.
-                SafetyProduct sp;
-                sp.module = std::shared_ptr<const ir::Module>(
-                    fe, &fe->module);
-                entry->value =
-                    std::make_shared<const SafetyProduct>(std::move(sp));
-            } else {
-                entry->value = std::make_shared<const SafetyProduct>(
-                    runSafetyStage(fe->module.clone(),
-                                   fe->sourceManager.get(), cfg));
-            }
-            writeBack(Stage::Safety, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        saExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(Stage::Safety, safeties_, safetyKey(app, cfg), hits, [&] {
+        auto fe = frontend(app, hits);
+        if (cfg.safe)
+            return runSafetyStage(fe->module.clone(),
+                                  fe->sourceManager.get(), cfg);
+        // Unsafe pass-through: alias the frontend's module rather
+        // than storing a clone — the product pins the FrontendProduct
+        // alive but adds no module bytes.
+        SafetyProduct sp;
+        sp.module = std::shared_ptr<const ir::Module>(fe, &fe->module);
+        return sp;
     });
-    if (!ran) {
-        saReuse_.fetch_add(1, std::memory_order_relaxed);
-        if (hits)
-            hits->frontend = true;  // served transitively
-    }
-    if (disk && hits)
-        hits->frontend = true;  // the whole upstream chain was skipped
-    if (hits)
-        hits->safety = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 std::shared_ptr<const OptProduct>
 StageCache::opt(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                 StageHits *hits)
 {
-    const std::string key = optKey(app, cfg);
-    auto entry = entryFor(opts_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<OptProduct>(Stage::Opt, key))) {
-            disk = true;
-            opDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            auto sp = safety(app, cfg, hits);
-            // Pass config to the stage with the upstream product; the
-            // no-cxprop pass-through shares sp's module pointer inside
-            // runOptStage (no clone, no copy of the module).
-            entry->value = std::make_shared<const OptProduct>(
-                runOptStage({sp->module, sp->report}, cfg));
-            writeBack(Stage::Opt, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        opExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(Stage::Opt, opts_, optKey(app, cfg), hits, [&] {
+        auto sp = safety(app, cfg, hits);
+        // Pass config to the stage with the upstream product; the
+        // no-cxprop pass-through shares sp's module pointer inside
+        // runOptStage (no clone, no copy of the module).
+        return runOptStage({sp->module, sp->report}, cfg);
     });
-    if (!ran) {
-        opReuse_.fetch_add(1, std::memory_order_relaxed);
-        if (hits) {
-            hits->frontend = true;
-            hits->safety = true;
-        }
-    }
-    if (disk && hits) {
-        hits->frontend = true;
-        hits->safety = true;
-    }
-    if (hits)
-        hits->opt = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 std::shared_ptr<const BuildResult>
 StageCache::build(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                   StageHits *hits)
 {
-    const std::string key = buildKey(app, cfg);
-    auto entry = entryFor(builds_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<BuildResult>(Stage::Backend, key))) {
-            disk = true;
-            beDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            auto op = opt(app, cfg, hits);
-            entry->value = std::make_shared<const BuildResult>(
-                runBackendStage(
-                    {op->module, op->safetyReport, op->report}, cfg));
-            writeBack(Stage::Backend, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        beExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(Stage::Backend, builds_, buildKey(app, cfg), hits, [&] {
+        auto op = opt(app, cfg, hits);
+        return runBackendStage({op->module, op->safetyReport, op->report},
+                               cfg);
     });
-    if (!ran) {
-        beReuse_.fetch_add(1, std::memory_order_relaxed);
-        if (hits) {
-            hits->frontend = true;
-            hits->safety = true;
-            hits->opt = true;
-        }
-    }
-    if (disk && hits) {
-        hits->frontend = true;
-        hits->safety = true;
-        hits->opt = true;
-    }
-    if (hits)
-        hits->backend = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 //---------------------------------------------------------------------
@@ -308,41 +248,22 @@ StageCache::build(const tinyos::AppInfo &app, const PipelineConfig &cfg,
 
 std::shared_ptr<const sim::DecodedProgram>
 StageCache::companionDecode(const std::string &name,
-                            const std::string &platform, bool *builtHere)
+                            const std::string &platform)
 {
-    std::shared_ptr<CompanionEntry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto &slot = companions_[{name, platform}];
-        if (!slot)
-            slot = std::make_shared<CompanionEntry>();
-        entry = slot;
-    }
     bool ran = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        try {
-            const auto &app = tinyos::appByName(name);
-            PipelineConfig base = configFor(ConfigId::Baseline, platform);
-            // The firmware itself is the ordinary backend entry of
-            // (app, Baseline, platform) — shared with any matrix that
-            // builds the same cell; this entry just aliases it and
-            // memoizes the decode every simulating mote shares.
-            auto br = build(app, base);
-            entry->decoded = std::make_shared<const sim::DecodedProgram>(
-                std::shared_ptr<const backend::MProgram>(br, &br->image));
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        coBuilds_.fetch_add(1, std::memory_order_relaxed);
+    auto entry = resolve(companions_, std::make_pair(name, platform), &ran,
+                         [&] {
+        // The firmware itself is the ordinary backend entry of
+        // (app, Baseline, platform) — shared with any matrix that
+        // builds the same cell; this entry just aliases it and
+        // memoizes the decode every simulating mote shares.
+        auto br = build(tinyos::appByName(name),
+                        configFor(ConfigId::Baseline, platform));
+        return std::make_shared<const sim::DecodedProgram>(
+            std::shared_ptr<const backend::MProgram>(br, &br->image));
     });
-    if (!ran)
-        coHits_.fetch_add(1, std::memory_order_relaxed);
-    if (builtHere)
-        *builtHere = ran;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->decoded;
+    (ran ? coBuilds_ : coHits_).fetch_add(1, std::memory_order_relaxed);
+    return entry->get();
 }
 
 //---------------------------------------------------------------------
@@ -366,10 +287,11 @@ StageCacheStats
 StageCache::stats() const
 {
     StageCacheStats s;
-    s.frontend = {feExec_.load(), feReuse_.load(), feDisk_.load()};
-    s.safety = {saExec_.load(), saReuse_.load(), saDisk_.load()};
-    s.opt = {opExec_.load(), opReuse_.load(), opDisk_.load()};
-    s.backend = {beExec_.load(), beReuse_.load(), beDisk_.load()};
+    for (size_t i = 0; i < counters_.size(); ++i) {
+        const StageCounters &n = counters_[i];
+        atStage(s, i) = {n.executed.load(), n.reused.load(),
+                         n.diskHits.load()};
+    }
     return s;
 }
 

@@ -10,15 +10,17 @@
  * rebuild nothing at all. Companion mote firmware is an ordinary
  * backend entry, served as a memoized decode that owns the image.
  *
- * The first requester of a key executes the stage; concurrent
- * requesters block on that execution and share the immutable product.
- * Failures are cached and rethrown to every requester. All products
- * are immutable after construction, so sharing needs no further
- * locking.
+ * Every product goes through one private memo path: the first
+ * requester of a key runs its body (or loads it from the store);
+ * concurrent requesters block on that run and share the immutable
+ * product. Failures are cached and rethrown to every requester. All
+ * products are immutable after construction, so sharing needs no
+ * further locking.
  */
 #ifndef STOS_CORE_STAGECACHE_H
 #define STOS_CORE_STAGECACHE_H
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -116,12 +118,9 @@ class StageCache {
      * `platform`. The firmware is an alias into the backend entry of
      * (app, Baseline config), so a matrix that already built that
      * cell shares it outright, and the decode owns that image.
-     * `builtHere`, when non-null, reports whether this call
-     * materialized the companion entry (vs being served from it).
      */
     std::shared_ptr<const sim::DecodedProgram>
-    companionDecode(const std::string &name, const std::string &platform,
-                    bool *builtHere = nullptr);
+    companionDecode(const std::string &name, const std::string &platform);
 
     //--- counters -------------------------------------------------
     /**
@@ -153,18 +152,30 @@ class StageCache {
         std::once_flag once;
         std::shared_ptr<const T> value;
         std::exception_ptr error;
+        /** The product, or the captured failure rethrown. */
+        std::shared_ptr<const T> get() const
+        {
+            if (error)
+                std::rethrow_exception(error);
+            return value;
+        }
     };
-    struct CompanionEntry {
-        std::once_flag once;
-        std::shared_ptr<const sim::DecodedProgram> decoded;
-        std::exception_ptr error;
-    };
-    template <typename T>
-    using EntryMap = std::map<std::string, std::shared_ptr<Entry<T>>>;
+    template <typename T, typename K = std::string>
+    using EntryMap = std::map<K, std::shared_ptr<Entry<T>>>;
 
-    template <typename T>
-    std::shared_ptr<Entry<T>> entryFor(EntryMap<T> &map,
-                                       const std::string &key);
+    /** Resolve `key`'s entry and run `make` for it at most once,
+     *  capturing its failure; `*ran` says whether this call ran it. */
+    template <typename T, typename K, typename Make>
+    std::shared_ptr<Entry<T>> resolve(EntryMap<T, K> &map, const K &key,
+                                      bool *ran, Make &&make);
+
+    /** The memo path of every stage: the entry of (stage, key), made
+     *  by a store load or else by `body`, counted and marked in
+     *  `hits`. */
+    template <typename T, typename Body>
+    std::shared_ptr<const T> memo(Stage stage, EntryMap<T> &map,
+                                  const std::string &key, StageHits *hits,
+                                  Body &&body);
 
     /** Try to materialize (stage, key) from the store; a decode
      *  failure on a hash-valid artifact is treated as a miss. */
@@ -174,20 +185,22 @@ class StageCache {
     template <typename T>
     void writeBack(Stage stage, const std::string &key, const T &product);
 
+    /** StageStats as relaxed atomics, one per stage. */
+    struct StageCounters {
+        std::atomic<size_t> executed{0}, reused{0}, diskHits{0};
+    };
+
     ArtifactStore *store_ = nullptr;
     mutable std::mutex mu_;
     EntryMap<FrontendProduct> frontends_;
     EntryMap<SafetyProduct> safeties_;
     EntryMap<OptProduct> opts_;
     EntryMap<BuildResult> builds_;
-    std::map<std::pair<std::string, std::string>,
-             std::shared_ptr<CompanionEntry>>
+    EntryMap<sim::DecodedProgram, std::pair<std::string, std::string>>
         companions_;
 
-    std::atomic<size_t> feExec_{0}, feReuse_{0}, feDisk_{0};
-    std::atomic<size_t> saExec_{0}, saReuse_{0}, saDisk_{0};
-    std::atomic<size_t> opExec_{0}, opReuse_{0}, opDisk_{0};
-    std::atomic<size_t> beExec_{0}, beReuse_{0}, beDisk_{0};
+    std::array<StageCounters, static_cast<size_t>(Stage::Backend) + 1>
+        counters_;
     std::atomic<size_t> coBuilds_{0}, coHits_{0};
 };
 

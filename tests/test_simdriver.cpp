@@ -8,11 +8,14 @@
  * CSV/JSON report emitters, all through Experiment::simulateBuilds;
  * SimDriver (core/report.h) is the equivalence-helper vocabulary, and
  * its field-by-field comparison is checked one field at a time.
+ * Repeated parallel runs must emit the same sim and joined bytes,
+ * timing columns aside.
  */
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "core/experiment.h"
 #include "support/util.h"
@@ -192,6 +195,57 @@ TEST(SimMatrix, DeterministicUnderAnyJobCount)
         std::string why;
         EXPECT_TRUE(SimDriver::reportsEquivalent(baseline, rep, &why))
             << "jobs=" << jobs << ": " << why;
+    }
+}
+
+/**
+ * The sim and joined emissions of `rep` with every *millis* field
+ * zeroed: wall time is the one value two runs may differ in.
+ */
+std::vector<std::string>
+untimedEmissions(ExperimentReport rep)
+{
+    rep.builds.wallMillis = rep.sims.wallMillis = 0;
+    for (auto &r : rep.builds.records)
+        r.millis = 0;
+    for (auto &r : rep.sims.records)
+        r.millis = 0;
+    std::ostringstream simCsv, simJson, joinedCsv, joinedJson;
+    rep.sims.emitCsv(simCsv);
+    rep.sims.emitJson(simJson);
+    rep.emitJoinedCsv(joinedCsv);
+    rep.emitJoinedJson(joinedJson);
+    return {simCsv.str(), simJson.str(), joinedCsv.str(),
+            joinedJson.str()};
+}
+
+TEST(SimMatrix, RepeatedParallelRunsEmitIdenticalBytes)
+{
+    // Four Mica2 apps whose one companion is CntToLedsAndRfm: with
+    // config-major order the first four pool jobs all race for that
+    // companion entry, so anything derived from which cell won the
+    // race would show up as differing bytes between runs.
+    Experiment e;
+    e.options().jobs = 4;
+    e.options().seconds = 0.05;
+    for (const char *name :
+         {"GenericBase", "RfmToLeds", "TestTimeStamping", "Ident"})
+        e.addApp(appByName(name));
+    e.addConfig(ConfigId::Baseline);
+    e.addConfig(ConfigId::SafeFlid);
+    e.addConfig(ConfigId::SafeFlidCxprop);
+
+    const ExperimentReport first = e.run();
+    ASSERT_TRUE(first.allOk());
+    EXPECT_EQ(first.sims.companionBuilds, 1u);
+    const std::vector<std::string> ref = untimedEmissions(first);
+    const char *names[] = {"sim CSV", "sim JSON", "joined CSV",
+                           "joined JSON"};
+    for (int run = 0; run < 2; ++run) {
+        std::vector<std::string> again = untimedEmissions(e.run());
+        for (size_t i = 0; i < ref.size(); ++i)
+            EXPECT_EQ(again[i], ref[i])
+                << names[i] << " differs on repeat " << run + 1;
     }
 }
 

@@ -4,11 +4,15 @@
  * requests, failure caching and rethrow, fingerprint sensitivity
  * (changing only CxpropOptions must NOT invalidate the safety stage;
  * changing SafetyConfig must), companion entries aliasing the
- * matrix's Baseline cells, and full Figure-3-matrix byte-identity of
+ * matrix's Baseline cells, the StageHits each request leaves (fresh,
+ * memo hit, disk hit), and full Figure-3-matrix byte-identity of
  * cached vs cold builds.
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -167,18 +171,103 @@ TEST(StageCache, CompanionAliasesTheMatrixBaselineCell)
     auto cell = cache.build(app, base);
     size_t backendRuns = cache.stats().backend.executed;
 
-    bool builtHere = false;
-    auto decoded =
-        cache.companionDecode(app.name, app.platform, &builtHere);
-    EXPECT_TRUE(builtHere);
+    auto decoded = cache.companionDecode(app.name, app.platform);
+    EXPECT_EQ(cache.companionBuilds(), 1u)
+        << "the first request materializes the companion entry";
+    EXPECT_EQ(cache.companionHits(), 0u);
     EXPECT_EQ(cache.stats().backend.executed, backendRuns)
         << "the companion must reuse the matrix's Baseline build";
     EXPECT_EQ(&decoded->program(), &cell->image)
         << "the companion decode must alias the cached BuildResult";
 
     EXPECT_EQ(cache.companionDecode(app.name, app.platform), decoded);
-    EXPECT_EQ(cache.companionBuilds(), 1u);
-    EXPECT_GE(cache.companionHits(), 1u);
+    EXPECT_EQ(cache.companionBuilds(), 1u)
+        << "a second request is served from the entry";
+    EXPECT_EQ(cache.companionHits(), 1u);
+}
+
+/** StageHits as {frontend, safety, opt, backend}, for one EXPECT_EQ. */
+std::vector<bool>
+flags(const StageHits &h)
+{
+    return {h.frontend, h.safety, h.opt, h.backend};
+}
+
+/** StageHits preset to `v` at every stage, so a test sees which
+ *  stages a request writes. */
+StageHits
+preset(bool v)
+{
+    return {v, v, v, v};
+}
+
+TEST(StageCache, StageHitsMarkAHitAndEverythingUpstreamOfIt)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("stos-stagehits-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    ArtifactStore store(CacheOptions{dir.string(), false, 0});
+    const auto &app = appByName("BlinkTask");
+    PipelineConfig c4 = configFor(ConfigId::SafeFlid, app.platform);
+    PipelineConfig c5 = configFor(ConfigId::SafeFlidCxprop, app.platform);
+    const std::vector<bool> none{false, false, false, false};
+    const std::vector<bool> all{true, true, true, true};
+    {
+        StageCache cache(&store);
+        // Executed fresh: every stage of the chain ran and says so.
+        StageHits h = preset(true);
+        cache.build(app, c4, &h);
+        EXPECT_EQ(flags(h), none);
+
+        // Memo hit at the backend: the chain stops there, so only
+        // the hit rule can mark the upstream stages.
+        h = preset(false);
+        cache.build(app, c4, &h);
+        EXPECT_EQ(flags(h), all);
+
+        // Memo hit at safety under a fresh opt/backend (C5 shares
+        // C4's safety run): frontend is marked by safety's hit.
+        h = preset(true);
+        h.frontend = false;
+        h.safety = false;
+        cache.build(app, c5, &h);
+        EXPECT_EQ(flags(h), (std::vector<bool>{true, true, false, false}));
+
+        // A request at one stage leaves downstream flags alone.
+        h = preset(false);
+        h.backend = true;
+        cache.frontend(app, &h);
+        EXPECT_EQ(flags(h), (std::vector<bool>{true, false, false, true}));
+    }
+    {
+        // Disk hit at the backend of a warm store: no upstream stage
+        // is even requested, yet all of them are marked.
+        StageCache cache(&store);
+        StageHits h = preset(false);
+        cache.build(app, c4, &h);
+        EXPECT_EQ(flags(h), all);
+        EXPECT_EQ(cache.stats().backend.diskHits, 1u);
+        EXPECT_EQ(cache.stats().opt.diskHits, 0u);
+    }
+    {
+        // Corrupted backend artifact: the backend executes over an
+        // opt disk hit, which marks frontend and safety too.
+        fs::path victim =
+            store.pathFor(Stage::Backend, StageCache::buildKey(app, c4));
+        fs::resize_file(victim, fs::file_size(victim) / 2);
+        StageCache cache(&store);
+        StageHits h = preset(false);
+        h.backend = true;
+        cache.build(app, c4, &h);
+        EXPECT_EQ(flags(h), (std::vector<bool>{true, true, true, false}));
+        EXPECT_EQ(cache.stats().backend.executed, 1u);
+        EXPECT_EQ(cache.stats().opt.diskHits, 1u);
+        EXPECT_EQ(cache.stats().frontend.executed +
+                      cache.stats().frontend.diskHits,
+                  0u);
+    }
+    fs::remove_all(dir);
 }
 
 TEST(StageCache, Figure3CachedMatchesColdByteForByte)
