@@ -166,6 +166,42 @@ figure3Keys()
     return keys;
 }
 
+/** cXprop work counters summed over every cell of the given passes. */
+opt::CxpropReport
+cxpropWork(std::initializer_list<const BuildReport *> passes)
+{
+    opt::CxpropReport sum;
+    for (const BuildReport *rep : passes) {
+        for (const auto &r : rep->records) {
+            if (!r.ok)
+                continue;
+            const opt::CxpropReport &c = r.result->cxpropReport;
+            sum.engineBuilds += c.engineBuilds;
+            sum.ipRounds += c.ipRounds;
+            sum.funcAnalyses += c.funcAnalyses;
+            sum.blockVisits += c.blockVisits;
+            sum.edges += c.edges;
+            sum.slotsJoined += c.slotsJoined;
+            sum.slotsWidened += c.slotsWidened;
+        }
+    }
+    return sum;
+}
+
+void
+printCxpropWork(const char *what, const opt::CxpropReport &w)
+{
+    printf("cXprop work (%s): %u engines, %u interprocedural rounds, "
+           "%llu function analyses, %llu block visits, %llu edges, "
+           "%llu slots joined (%llu widened)\n",
+           what, w.engineBuilds, w.ipRounds,
+           static_cast<unsigned long long>(w.funcAnalyses),
+           static_cast<unsigned long long>(w.blockVisits),
+           static_cast<unsigned long long>(w.edges),
+           static_cast<unsigned long long>(w.slotsJoined),
+           static_cast<unsigned long long>(w.slotsWidened));
+}
+
 int
 runMatrixComparison(unsigned jobs)
 {
@@ -226,6 +262,10 @@ runMatrixComparison(unsigned jobs)
         fprintf(stderr, "serial builds failed\n");
         return 1;
     }
+
+    // Exact work counters: each pass does the same cXprop work.
+    printCxpropWork("both passes",
+                    cxpropWork({&par.builds, &serial.builds}));
 
     std::string why;
     bool identical = Experiment::reportsEquivalent(serial, par, &why);

@@ -158,6 +158,21 @@ const Column kColumns[] = {
      RESULT(safetyReport.checksInserted)},
     {"cxprop_checks_removed", kCount, kBuild, kBuildOk,
      RESULT(cxpropReport.checksRemoved)},
+    // cXprop work counters (CxpropReport): exact, so two runs of one
+    // build agree and a fixpoint regression shows without a clock.
+    {"cxprop_engine_builds", kCount, kBuild, kBuildOk,
+     RESULT(cxpropReport.engineBuilds)},
+    {"cxprop_ip_rounds", kCount, kBuild, kBuildOk,
+     RESULT(cxpropReport.ipRounds)},
+    {"cxprop_func_analyses", kCount, kBuild, kBuildOk,
+     RESULT(cxpropReport.funcAnalyses)},
+    {"cxprop_block_visits", kCount, kBuild, kBuildOk,
+     RESULT(cxpropReport.blockVisits)},
+    {"cxprop_edges", kCount, kBuild, kBuildOk, RESULT(cxpropReport.edges)},
+    {"cxprop_slots_joined", kCount, kBuild, kBuildOk,
+     RESULT(cxpropReport.slotsJoined)},
+    {"cxprop_slots_widened", kCount, kBuild, kBuildOk,
+     RESULT(cxpropReport.slotsWidened)},
 
     // Sim outcome. SimDriver::recordsEquivalent compares every
     // kCount/kFlag row here.

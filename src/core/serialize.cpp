@@ -89,6 +89,13 @@ writeCxpropReport(BinWriter &w, const opt::CxpropReport &rep)
     w.u32(rep.atomicsRemoved);
     w.u32(rep.atomicSavesDowngraded);
     w.i32(rep.rounds);
+    w.u32(rep.engineBuilds);
+    w.u32(rep.ipRounds);
+    w.u64(rep.funcAnalyses);
+    w.u64(rep.blockVisits);
+    w.u64(rep.edges);
+    w.u64(rep.slotsJoined);
+    w.u64(rep.slotsWidened);
 }
 
 opt::CxpropReport
@@ -107,6 +114,13 @@ readCxpropReport(BinReader &r)
     rep.atomicsRemoved = r.u32();
     rep.atomicSavesDowngraded = r.u32();
     rep.rounds = r.i32();
+    rep.engineBuilds = r.u32();
+    rep.ipRounds = r.u32();
+    rep.funcAnalyses = r.u64();
+    rep.blockVisits = r.u64();
+    rep.edges = r.u64();
+    rep.slotsJoined = r.u64();
+    rep.slotsWidened = r.u64();
     return rep;
 }
 

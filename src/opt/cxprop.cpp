@@ -10,6 +10,7 @@
 
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
+#include "analysis/liveness.h"
 #include "analysis/pointsto.h"
 #include "opt/passes.h"
 #include "support/util.h"
@@ -64,8 +65,10 @@ class Engine {
         : mod_(m), opts_(opts), rep_(rep), cg_(m), pts_(m),
           conc_(m, cg_, pts_, opts.concurrency)
     {
+        ++rep_.engineBuilds;
         size_t nf = m.funcs().size();
         paramSummary_.resize(nf);
+        liveIn_.resize(nf);
         retSummary_.assign(nf, AbsVal::bottom());
         for (const auto &f : m.funcs())
             paramSummary_[f.id].assign(f.params.size(), AbsVal::bottom());
@@ -103,6 +106,7 @@ class Engine {
             widening_ = round >= 8;
             fullWidening_ = round >= 18;
             changed_ = false;
+            ++rep_.ipRounds;
             for (auto &f : mod_.funcs()) {
                 if (!f.dead)
                     analyzeFunction(f, nullptr);
@@ -307,7 +311,7 @@ class Engine {
                                                  : kNoVReg;
                 ci.lhs = ev(0);
                 ci.rhs = ev(1);
-                cmpInfo_[in.dst] = ci;
+                cmpInfo_.emplace_back(in.dst, ci);
             }
             setDst(v);
             tryFold(v);
@@ -336,7 +340,7 @@ class Engine {
                 bool sSigned =
                     sTy.kind == TypeKind::Int && sTy.isSigned;
                 if (dBits >= sBits && !sSigned)
-                    castSrc_[in.dst] = in.args[0].index;
+                    castSrc_.emplace_back(in.dst, in.args[0].index);
             }
             if (toTy.kind == TypeKind::Ptr) {
                 if (v.kind == AbsVal::Ptr) {
@@ -573,6 +577,18 @@ class Engine {
         AbsVal lhs, rhs;
     };
 
+    /** The newest entry for `key` in a block-local log, or null. */
+    template <typename T>
+    static const T *
+    lastFor(const std::vector<std::pair<uint32_t, T>> &log, uint32_t key)
+    {
+        for (size_t i = log.size(); i-- > 0;) {
+            if (log[i].first == key)
+                return &log[i].second;
+        }
+        return nullptr;
+    }
+
     BinOp
     swapCompare(BinOp op)
     {
@@ -589,28 +605,78 @@ class Engine {
         }
     }
 
+    /**
+     * Per-block live-in vregs of `f`, ascending. Computed once per
+     * function per Engine: a function's IR changes only in its own
+     * transform phase, and that only drops uses, so the lists stay a
+     * sound superset until the Engine is rebuilt.
+     */
+    const std::vector<std::vector<uint32_t>> &
+    liveInLists(const Function &f)
+    {
+        auto &lists = liveIn_[f.id];
+        if (lists.empty() && !f.blocks.empty()) {
+            Liveness lv(mod_, f);
+            lists.resize(f.blocks.size());
+            for (uint32_t b = 0; b < f.blocks.size(); ++b) {
+                const std::vector<bool> &bits = lv.liveIn(b);
+                for (uint32_t v = 0; v < bits.size(); ++v) {
+                    if (bits[v])
+                        lists[b].push_back(v);
+                }
+            }
+        }
+        return lists;
+    }
+
+    /**
+     * Sparse intraprocedural fixpoint. A block's entry state holds
+     * only the vregs live-in at it (a vreg not live-in is redefined
+     * before any read, so its value cannot matter), and each edge
+     * joins only those slots. One scratch State serves every visit:
+     * a visit loads the block's live-in slots over it, and a vreg
+     * that is not live-in is never read before this block writes it.
+     */
     void
     analyzeFunction(Function &f, CxpropReport *rep)
     {
+        ++rep_.funcAnalyses;
         size_t nb = f.blocks.size();
-        std::vector<std::vector<AbsVal>> blockIn(
-            nb, std::vector<AbsVal>(f.vregs.size(), AbsVal::bottom()));
+        const auto &live = liveInLists(f);
+        std::vector<std::vector<AbsVal>> blockIn(nb);
+        for (size_t b = 0; b < nb; ++b)
+            blockIn[b].assign(live[b].size(), AbsVal::bottom());
         std::vector<int> visits(nb, 0);
         // Entry: parameters from the interprocedural summary.
-        for (size_t i = 0; i < f.params.size(); ++i)
-            blockIn[0][f.params[i]] = paramSummary_[f.id][i];
+        for (size_t i = 0; i < f.params.size(); ++i) {
+            auto it = std::lower_bound(live[0].begin(), live[0].end(),
+                                       f.params[i]);
+            if (it != live[0].end() && *it == f.params[i])
+                blockIn[0][it - live[0].begin()] = paramSummary_[f.id][i];
+        }
         std::deque<uint32_t> work{0};
         std::vector<bool> inWork(nb, false);
         inWork[0] = true;
+
+        State st;
+        st.regs.assign(f.vregs.size(), AbsVal::bottom());
+        auto load = [&](uint32_t b) {
+            for (size_t i = 0; i < live[b].size(); ++i)
+                st.regs[live[b][i]] = blockIn[b][i];
+            st.mem.clear();
+            cmpInfo_.clear();
+            castSrc_.clear();
+        };
+        // Branch refinements are written over st.regs for one edge
+        // and undone after it, newest first.
+        std::vector<std::pair<uint32_t, AbsVal>> undo;
 
         while (!work.empty()) {
             uint32_t b = work.front();
             work.pop_front();
             inWork[b] = false;
-            State st;
-            st.regs = blockIn[b];
-            cmpInfo_.clear();
-            castSrc_.clear();
+            ++rep_.blockVisits;
+            load(b);
             BasicBlock &bb = f.blocks[b];
             for (auto &in : bb.instrs)
                 transfer(f, st, in, nullptr);
@@ -621,11 +687,11 @@ class Engine {
                 auto push = [&](uint32_t s, bool taken, bool isCond) {
                     if (s == kNoBlock || s >= nb)
                         return;
-                    std::vector<AbsVal> next = st.regs;
                     if (isCond && t.args[0].isVReg()) {
-                        auto ci = cmpInfo_.find(t.args[0].index);
-                        if (ci != cmpInfo_.end() && ci->second.valid) {
-                            const CmpInfo &info = ci->second;
+                        const CmpInfo *ci =
+                            lastFor(cmpInfo_, t.args[0].index);
+                        if (ci && ci->valid) {
+                            const CmpInfo &info = *ci;
                             auto refineChain = [&](uint32_t v, BinOp op,
                                                    const AbsVal &rhs) {
                                 // Refine the vreg and, through any
@@ -633,16 +699,16 @@ class Engine {
                                 // variable it came from.
                                 for (int d = 0; d < 8 && v != kNoVReg;
                                      ++d) {
-                                    next[v] = clampToType(
-                                        refineByCompare(next[v], op,
+                                    undo.emplace_back(v, st.regs[v]);
+                                    st.regs[v] = clampToType(
+                                        refineByCompare(st.regs[v], op,
                                                         rhs, taken,
                                                         opts_.domains),
                                         mod_.types(), f.vregs[v].type,
                                         opts_.domains);
-                                    auto cs = castSrc_.find(v);
-                                    v = cs != castSrc_.end()
-                                            ? cs->second
-                                            : kNoVReg;
+                                    const uint32_t *cs =
+                                        lastFor(castSrc_, v);
+                                    v = cs ? *cs : kNoVReg;
                                 }
                             };
                             if (info.lhsVreg != kNoVReg)
@@ -654,22 +720,34 @@ class Engine {
                                             info.lhs);
                         }
                     }
-                    bool widenNow = visits[s] > 12 || fullWidening_;
+                    // Visit counts alone bound every loop. The
+                    // interprocedural fullWidening_ switch widens only
+                    // the summaries (joinInto): widening every block
+                    // entry in those rounds would send a pointer
+                    // offset that is live across an inner join to
+                    // infinity.
+                    bool widenNow = visits[s] > 12;
+                    const std::vector<uint32_t> &ls = live[s];
+                    std::vector<AbsVal> &slots = blockIn[s];
                     bool changed = false;
-                    for (size_t v = 0; v < next.size(); ++v) {
+                    for (size_t i = 0; i < ls.size(); ++i) {
+                        const AbsVal &v = st.regs[ls[i]];
                         AbsVal nv =
-                            widenNow
-                                ? widen(blockIn[s][v], next[v],
-                                        widenTs_,
-                                        fullWidening_ &&
-                                            visits[s] > 40)
-                                : join(blockIn[s][v], next[v],
-                                       opts_.domains);
-                        if (!(nv == blockIn[s][v])) {
-                            blockIn[s][v] = nv;
+                            widenNow ? widen(slots[i], v, widenTs_,
+                                             visits[s] > 40)
+                                     : join(slots[i], v, opts_.domains);
+                        if (!(nv == slots[i])) {
+                            slots[i] = nv;
                             changed = true;
                         }
                     }
+                    ++rep_.edges;
+                    rep_.slotsJoined += ls.size();
+                    if (widenNow)
+                        rep_.slotsWidened += ls.size();
+                    for (size_t i = undo.size(); i-- > 0;)
+                        st.regs[undo[i].first] = undo[i].second;
+                    undo.clear();
                     if ((changed || visits[s] == 0) && !inWork[s]) {
                         ++visits[s];
                         inWork[s] = true;
@@ -691,10 +769,7 @@ class Engine {
         // Transform phase: replay every block once from its converged
         // entry state, rewriting instructions in place.
         for (uint32_t b = 0; b < nb; ++b) {
-            State st;
-            st.regs = blockIn[b];
-            cmpInfo_.clear();
-            castSrc_.clear();
+            load(b);
             BasicBlock &bb = f.blocks[b];
             std::vector<Instr> out;
             out.reserve(bb.instrs.size());
@@ -730,8 +805,11 @@ class Engine {
     std::vector<std::vector<AbsVal>> paramSummary_;
     std::vector<AbsVal> retSummary_;
     std::vector<AbsVal> globalInv_;
-    std::map<uint32_t, CmpInfo> cmpInfo_;
-    std::map<uint32_t, uint32_t> castSrc_;
+    /** Per-function live-in lists (liveInLists), indexed by id. */
+    std::vector<std::vector<std::vector<uint32_t>>> liveIn_;
+    // Block-local logs keyed by dst vreg; the last entry wins.
+    std::vector<std::pair<uint32_t, CmpInfo>> cmpInfo_;
+    std::vector<std::pair<uint32_t, uint32_t>> castSrc_;
     WidenThresholds widenTs_;
     bool changed_ = false;
     bool widening_ = false;

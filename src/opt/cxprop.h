@@ -44,6 +44,18 @@ struct CxpropReport {
     uint32_t atomicsRemoved = 0;
     uint32_t atomicSavesDowngraded = 0;
     int rounds = 0;
+
+    // Work counters: how much fixpoint work the run did, counted
+    // exactly, so a regression shows without a wall clock.
+    uint32_t engineBuilds = 0;    ///< analysis engines (one per round)
+    uint32_t ipRounds = 0;        ///< interprocedural rounds, all engines
+    uint64_t funcAnalyses = 0;    ///< per-function fixpoints solved
+    uint64_t blockVisits = 0;     ///< worklist block visits
+    uint64_t edges = 0;           ///< CFG edges propagated
+    /** Vreg slots merged into a successor's entry state, joined or
+     *  widened: |live-in(s)| per edge into s. */
+    uint64_t slotsJoined = 0;
+    uint64_t slotsWidened = 0;    ///< of slotsJoined, those widened
 };
 
 /** Run the full cXprop pipeline over the module. */

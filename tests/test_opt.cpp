@@ -8,7 +8,10 @@
 
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
+#include "analysis/liveness.h"
 #include "analysis/pointsto.h"
+#include "core/experiment.h"
+#include "core/pipeline.h"
 #include "frontend/frontend.h"
 #include "ir/interp.h"
 #include "ir/verifier.h"
@@ -323,6 +326,135 @@ TEST(Cxprop, RacyGlobalsAreNotFolded)
     }
     EXPECT_TRUE(hasLoad);
     (void)r;
+}
+
+TEST(Cxprop, WideningFollowsVisitCountsNotSummaryRounds)
+{
+    // g4++ climbs one widening threshold per interprocedural round, so
+    // the analysis runs past the round where summaries widen to
+    // infinity. The ternary joins blocks inside the nested loop while
+    // the address of a5[q3 & 3] (offset [0, 4]) is live across that
+    // join. If block widening followed the summary switch, that join
+    // would widen the offset to infinity and keep the bounds check.
+    // Cut down from fuzz seed 12 (`fuzz_differential --dump 12`).
+    const char *src =
+        "u16 g4;"
+        "i8 g1;"
+        "i32 a5[4];"
+        "i32 h0() { return 0; }"
+        "u16 main() {"
+        "  g4++;"
+        "  for (u8 q3 = 0; q3 < 2; q3++) {"
+        "    for (u8 q4 = 0; q4 < 3; q4++) {"
+        "      if (h0() == 0) { a5[q3 & 3] = true ? 5 : g1; }"
+        "    }"
+        "  }"
+        "  return 0;"
+        "}";
+    core::BuildResult br = core::buildSource(
+        "widen", src,
+        core::configFor(core::ConfigId::SafeFlidInlineCxprop, "Mica2"));
+    EXPECT_GT(br.cxpropReport.checksRemoved, 0u);
+    for (const auto &f : br.module.funcs()) {
+        if (f.dead)
+            continue;
+        for (const auto &bb : f.blocks) {
+            for (const auto &in : bb.instrs)
+                EXPECT_NE(in.op, Opcode::ChkUBound) << "flid " << in.flid;
+        }
+    }
+}
+
+//---------------------------------------------------------------------
+// cXprop work counters
+//---------------------------------------------------------------------
+
+TEST(CxpropWork, SlotsJoinedAreLiveInSlotsPerEdge)
+{
+    // Loop-free functions: every fixpoint visits each reachable block
+    // once, so each analysis walks each reachable edge once and joins
+    // exactly the successor's live-in vregs.
+    Module m = compile(
+        "u16 g;"
+        "u16 pick(u16 x) { if (x > 3) { return x - 1; } return x + 1; }"
+        "u16 main() {"
+        "  u16 a = g;"
+        "  u16 b = g + 1;"
+        "  u16 c = a * 3;"
+        "  u16 r = 0;"
+        "  if (a < 5) { r = a + b; } else { r = b; }"
+        "  if (r > 3) { r = r + c; }"
+        "  return pick(r);"
+        "}");
+    uint64_t edges = 0, slots = 0, funcs = 0, dense = 0;
+    for (const auto &f : m.funcs()) {
+        if (f.dead)
+            continue;
+        ++funcs;
+        analysis::Liveness lv(m, f);
+        std::vector<bool> seen(f.blocks.size(), false);
+        std::vector<uint32_t> stack{0};
+        seen[0] = true;
+        while (!stack.empty()) {
+            uint32_t b = stack.back();
+            stack.pop_back();
+            const Instr &t = f.blocks[b].instrs.back();
+            for (uint32_t s : {t.b0, t.b1}) {
+                if (t.op == Opcode::Ret || s == kNoBlock)
+                    continue;
+                ++edges;
+                dense += f.vregs.size();
+                for (bool live : lv.liveIn(s))
+                    slots += live;
+                if (!seen[s]) {
+                    seen[s] = true;
+                    stack.push_back(s);
+                }
+            }
+        }
+    }
+    ASSERT_GT(edges, 0u);
+
+    CxpropOptions opts;
+    opts.maxRounds = 1;  // one Engine over the unmodified module
+    CxpropReport rep = runCxprop(m, opts);
+    EXPECT_EQ(rep.engineBuilds, 1u);
+    // Every interprocedural round analyzes each function, and so does
+    // the transform pass.
+    uint64_t analyses = rep.ipRounds + 1;
+    EXPECT_EQ(rep.funcAnalyses, analyses * funcs);
+    EXPECT_EQ(rep.edges, analyses * edges);
+    EXPECT_EQ(rep.slotsJoined, analyses * slots);
+    EXPECT_EQ(rep.slotsWidened, 0u);
+    EXPECT_LT(rep.slotsJoined, analyses * dense);
+}
+
+TEST(CxpropWork, Figure3MatrixSlotsJoinedStayBounded)
+{
+    // A deterministic gate on fixpoint work: the slots joined by every
+    // cXprop column of the Figure-3 matrix (C5, C6, C7) plus the one
+    // CFI column that runs cXprop, summed over the 25 apps. The sparse
+    // fixpoint joins 4,238,715 slots here; the bound leaves ~11%
+    // headroom. A dense fixpoint, joining every vreg on every edge,
+    // joined 275,904,287.
+    core::ExperimentOptions opts;
+    opts.simulate = false;
+    core::Experiment exp(opts);
+    exp.addAllApps();
+    exp.addConfigs({core::ConfigId::SafeFlidCxprop,
+                    core::ConfigId::SafeFlidInlineCxprop,
+                    core::ConfigId::UnsafeInlineCxprop,
+                    core::ConfigId::SafeFlidInlineCxpropCfi});
+    core::BuildReport rep = exp.run().builds;
+    uint64_t slots = 0;
+    for (const auto &r : rep.records) {
+        ASSERT_TRUE(r.ok) << r.app << "/" << r.config << ": " << r.error;
+        slots += r.result->cxpropReport.slotsJoined;
+    }
+    EXPECT_EQ(rep.records.size(), 100u);
+    EXPECT_GT(slots, 0u);
+    EXPECT_LE(slots, 4'700'000u) << "cXprop joined " << slots
+                                 << " slots";
 }
 
 //---------------------------------------------------------------------
